@@ -18,6 +18,7 @@ patches are factored and shrunk together through stacked linear algebra.
 from __future__ import annotations
 
 import enum
+import threading
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -315,6 +316,8 @@ def _check_image(image: np.ndarray, cfg: DenoiseConfig) -> np.ndarray:
         raise DimensionMismatch(
             f"patch {cfg.patch_rows}x{cfg.patch_cols} exceeds image {image.shape}"
         )
+    if not np.all(np.isfinite(image)):
+        raise DimensionMismatch("image contains non-finite samples")
     return image
 
 
@@ -364,6 +367,7 @@ def wiener_stage(image: np.ndarray, pilot: np.ndarray, cfg: DenoiseConfig) -> np
         raise DimensionMismatch(
             f"pilot shape {pilot.shape} does not match image {image.shape}"
         )
+    pilot = _check_image(pilot, cfg)
     sigma = cfg.sigma if cfg.sigma is not None else 0.0
     h, w = image.shape
     patch_shape = (cfg.patch_rows, cfg.patch_cols)
@@ -426,6 +430,7 @@ def _tail_mad(image: np.ndarray, probe: DenoiseConfig) -> float:
 
 
 _SIGMA_CALIBRATION: dict[tuple[int, int, int], float] = {}
+_SIGMA_CALIBRATION_LOCK = threading.Lock()
 
 
 def _sigma_calibration(probe: DenoiseConfig) -> float:
@@ -436,12 +441,13 @@ def _sigma_calibration(probe: DenoiseConfig) -> float:
     dividing by this seeded unit-noise probe removes the bias.
     """
     key = (probe.patch_rows, probe.patch_cols, probe.max_group_size)
-    if key not in _SIGMA_CALIBRATION:
-        side = max(64, 2 * max(probe.patch_rows, probe.patch_cols))
-        rng = np.random.Generator(np.random.Philox(20260808))
-        unit = (rng.normal(size=(side, side)) + 1j * rng.normal(size=(side, side))) / np.sqrt(2)
-        _SIGMA_CALIBRATION[key] = _tail_mad(unit, probe)
-    return _SIGMA_CALIBRATION[key]
+    with _SIGMA_CALIBRATION_LOCK:  # pool workers share the cache
+        if key not in _SIGMA_CALIBRATION:
+            side = max(64, 2 * max(probe.patch_rows, probe.patch_cols))
+            rng = np.random.Generator(np.random.Philox(20260808))
+            unit = (rng.normal(size=(side, side)) + 1j * rng.normal(size=(side, side))) / np.sqrt(2)
+            _SIGMA_CALIBRATION[key] = _tail_mad(unit, probe)
+        return _SIGMA_CALIBRATION[key]
 
 
 def estimate_sigma(image: np.ndarray, cfg: DenoiseConfig | None = None) -> float:

@@ -47,8 +47,9 @@ class ComplexCube:
     data: np.ndarray  # (n_rows, n_cols, n_bands) complex128
 
     def __post_init__(self):
-        wl = np.ascontiguousarray(self.wavelengths, dtype=np.float64)
-        data = np.ascontiguousarray(self.data, dtype=np.complex128)
+        # Views, so that freezing them leaves a caller's own array writeable.
+        wl = np.ascontiguousarray(self.wavelengths, dtype=np.float64).view()
+        data = np.ascontiguousarray(self.data, dtype=np.complex128).view()
         if data.ndim != 3:
             raise DimensionMismatch(f"cube data must be 3D, got shape {data.shape}")
         if wl.ndim != 1 or wl.shape[0] != data.shape[2]:

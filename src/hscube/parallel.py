@@ -2,14 +2,35 @@
 
 Jobs are independent closures whose results are collected in submission
 order, so the assembled output never depends on the worker count.
+
+While a pool of more than one worker runs, numpy's bundled OpenBLAS is held
+at one thread: the jobs make many small ``eigh`` and matmul calls whose BLAS
+threads would only compete with the pool threads for the same cores.  The
+setting is process-global; the outermost pool restores the previous count
+when it exits.  Other BLAS builds (MKL, Accelerate) are left alone.
 """
 
 from __future__ import annotations
 
+import contextlib
+import ctypes
+import functools
 import os
+import threading
 from concurrent.futures import ThreadPoolExecutor
 
 ENV_THREADS = "HSCUBE_THREADS"
+
+# (get, set) thread-count symbols of the OpenBLAS builds numpy ships with.
+_OPENBLAS_SYMBOLS = (
+    ("scipy_openblas_get_num_threads64_", "scipy_openblas_set_num_threads64_"),
+    ("openblas_get_num_threads64_", "openblas_set_num_threads64_"),
+    ("openblas_get_num_threads", "openblas_set_num_threads"),
+)
+
+_blas_lock = threading.Lock()
+_blas_depth = 0
+_blas_saved = 0
 
 
 def resolve_threads(requested: int | None = None) -> int:
@@ -22,10 +43,60 @@ def resolve_threads(requested: int | None = None) -> int:
     return 1
 
 
+@functools.cache
+def _openblas_controls():
+    """(get, set) thread-count functions of numpy's OpenBLAS, or None.
+
+    Symbols resolved through numpy's own extension module reach the BLAS it
+    was linked against, whatever that library's file is called.
+    """
+    try:
+        try:
+            from numpy._core import _multiarray_umath as ext
+        except ImportError:  # numpy 1.x
+            from numpy.core import _multiarray_umath as ext
+        lib = ctypes.CDLL(ext.__file__)
+    except (ImportError, OSError, AttributeError):
+        return None
+    for get_name, set_name in _OPENBLAS_SYMBOLS:
+        try:
+            get, set_ = getattr(lib, get_name), getattr(lib, set_name)
+        except AttributeError:
+            continue
+        get.argtypes, get.restype = [], ctypes.c_int
+        set_.argtypes, set_.restype = [ctypes.c_int], None
+        return get, set_
+    return None
+
+
+@contextlib.contextmanager
+def _single_threaded_blas():
+    """Hold OpenBLAS at one thread; nested and concurrent holders share one
+    saved count, restored once by the last to leave."""
+    global _blas_depth, _blas_saved
+    controls = _openblas_controls()
+    if controls is None:
+        yield
+        return
+    get, set_ = controls
+    with _blas_lock:
+        if _blas_depth == 0:
+            _blas_saved = get()
+            set_(1)
+        _blas_depth += 1
+    try:
+        yield
+    finally:
+        with _blas_lock:
+            _blas_depth -= 1
+            if _blas_depth == 0:
+                set_(_blas_saved)
+
+
 def run_jobs(jobs, threads: int = 1) -> list:
     """Run zero-argument callables, returning results in submission order."""
     jobs = list(jobs)
     if threads <= 1 or len(jobs) <= 1:
         return [job() for job in jobs]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
+    with _single_threaded_blas(), ThreadPoolExecutor(max_workers=threads) as pool:
         return [future.result() for future in [pool.submit(job) for job in jobs]]

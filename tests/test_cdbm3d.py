@@ -1,9 +1,13 @@
+import functools
+import sys
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import hscube as hs
+from hscube import cdbm3d
 from hscube.cdbm3d import (
     DenoiseConfig,
     Stages,
@@ -20,6 +24,7 @@ from hscube.cdbm3d import (
     wiener_stage,
 )
 from hscube.errors import DimensionMismatch, OutOfBounds
+from hscube.parallel import run_jobs
 
 
 def random_field(rng, shape):
@@ -189,6 +194,13 @@ class TestStages:
         with pytest.raises(DimensionMismatch):
             wiener_stage(img, np.zeros((8, 8), complex), DenoiseConfig(sigma=1.0))
 
+    def test_wiener_pilot_non_finite_rejected(self):
+        img = random_field(np.random.default_rng(16), (16, 16))
+        pilot = img.copy()
+        pilot[3, 3] = np.nan
+        with pytest.raises(DimensionMismatch, match="non-finite"):
+            wiener_stage(img, pilot, DenoiseConfig(sigma=1.0))
+
 
 class TestDenoiseImage:
     def test_sigma_zero_identity_both_variants(self):
@@ -207,6 +219,14 @@ class TestDenoiseImage:
     def test_patch_must_fit(self):
         with pytest.raises(DimensionMismatch):
             denoise_image(np.zeros((4, 4), complex), DenoiseConfig(sigma=1.0))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0.0, -np.inf)])
+    @pytest.mark.parametrize("sigma", [None, 1.0])
+    def test_rejects_non_finite_samples(self, bad, sigma):
+        img = random_field(np.random.default_rng(14), (16, 16))
+        img[3, 5] = bad
+        with pytest.raises(DimensionMismatch, match="non-finite"):
+            denoise_image(img, DenoiseConfig(sigma=sigma))
 
     def test_both_variants_reduce_noise(self, two_peak_slice):
         truth, noisy, sigma = two_peak_slice
@@ -277,3 +297,25 @@ class TestEstimateSigma:
             return np.linalg.norm(d) / np.linalg.norm(np.angle(truth))
 
         assert rrmse(out) < rrmse(noisy)
+
+    def test_calibration_filled_once_by_pool_workers(self, monkeypatch):
+        rng = np.random.default_rng(15)
+        images = [random_field(rng, (24, 24)) for _ in range(8)]
+        serial = [estimate_sigma(img) for img in images]
+        monkeypatch.setattr(cdbm3d, "_SIGMA_CALIBRATION", {})
+        calls = []
+        tail_mad = cdbm3d._tail_mad
+
+        def counting_tail_mad(image, probe):
+            calls.append(image.shape)
+            return tail_mad(image, probe)
+
+        monkeypatch.setattr(cdbm3d, "_tail_mad", counting_tail_mad)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            pooled = run_jobs([functools.partial(estimate_sigma, img) for img in images], threads=4)
+        finally:
+            sys.setswitchinterval(interval)
+        assert pooled == serial
+        assert len(calls) == len(images) + 1  # one unit-noise probe in all

@@ -48,6 +48,15 @@ class TestCubeModel:
         with pytest.raises(ValueError):
             cube.data[0, 0, 0] = 1.0
 
+    def test_caller_arrays_stay_writeable(self):
+        data = np.zeros((2, 2, 2), complex)
+        wl = np.array([400.0, 500.0])
+        cube = ComplexCube(wavelengths=wl, data=data)
+        assert data.flags.writeable and wl.flags.writeable
+        assert not cube.data.flags.writeable and not cube.wavelengths.flags.writeable
+        assert np.shares_memory(cube.data, data)  # still zero-copy
+        data[0, 0, 0] = 1.0
+
     def test_band_slices_reassemble(self):
         cube = random_cube(np.random.default_rng(1), 4, 5, 6)
         rebuilt = np.stack([cube.band(b) for b in range(cube.n_bands)], axis=2)

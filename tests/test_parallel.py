@@ -1,0 +1,118 @@
+import threading
+import time
+
+import pytest
+
+from hscube import parallel
+from hscube.parallel import run_jobs
+
+TIMEOUT = 30.0
+
+
+@pytest.fixture
+def blas(monkeypatch):
+    """numpy's OpenBLAS (get, set), started at two threads so that a pinned
+    count of one is told apart from the default; the count is restored
+    afterwards.  Every set call made by the pool is recorded in ``sets``."""
+    controls = parallel._openblas_controls()
+    if controls is None:
+        pytest.skip("numpy's BLAS exposes no OpenBLAS thread-count symbol")
+    get, set_ = controls
+    start = get()
+    set_(2)
+    if get() != 2:
+        set_(start)
+        pytest.skip("OpenBLAS cannot run two threads here")
+    sets = []
+
+    def recording_set(n):
+        sets.append(n)
+        set_(n)
+
+    monkeypatch.setattr(parallel, "_openblas_controls", lambda: (get, recording_set))
+    yield get, sets
+    set_(start)
+
+
+class TestBlasLimiter:
+    def test_pool_jobs_run_with_one_blas_thread(self, blas):
+        get, sets = blas
+        assert run_jobs([get] * 4, threads=2) == [1] * 4
+        assert get() == 2
+        assert sets == [1, 2]
+
+    def test_count_restored_when_a_job_raises(self, blas):
+        get, sets = blas
+
+        def boom():
+            raise RuntimeError("job failed")
+
+        with pytest.raises(RuntimeError, match="job failed"):
+            run_jobs([get, boom, get], threads=2)
+        assert get() == 2
+        assert sets == [1, 2]
+
+    @pytest.mark.parametrize("threads, n_jobs", [(1, 3), (4, 1)])
+    def test_inline_runs_keep_blas_default(self, blas, threads, n_jobs):
+        get, sets = blas
+        assert run_jobs([get] * n_jobs, threads=threads) == [2] * n_jobs
+        assert sets == []
+
+    def test_nested_pools_restore_once(self, blas):
+        get, sets = blas
+
+        def outer_job():
+            inner = run_jobs([get, get], threads=2)
+            return inner, get()
+
+        results = run_jobs([outer_job, outer_job], threads=2)
+        assert results == [([1, 1], 1)] * 2
+        assert get() == 2
+        assert sets == [1, 2]
+
+    def test_concurrent_pools_restore_once(self, blas):
+        get, sets = blas
+        all_inside = threading.Barrier(4, timeout=TIMEOUT)
+        first_done = threading.Event()
+
+        def job_a():
+            all_inside.wait()
+            return get()
+
+        def job_b():
+            all_inside.wait()
+            assert first_done.wait(TIMEOUT)
+            return get()  # the other pool has exited; still pinned
+
+        results = {}
+
+        def caller(name, job, then=None):
+            results[name] = run_jobs([job, job], threads=2)
+            if then is not None:
+                then.set()
+
+        callers = [
+            threading.Thread(target=caller, args=("a", job_a, first_done)),
+            threading.Thread(target=caller, args=("b", job_b)),
+        ]
+        for t in callers:
+            t.start()
+        for t in callers:
+            t.join(TIMEOUT)
+            assert not t.is_alive()
+        assert results == {"a": [1, 1], "b": [1, 1]}
+        assert get() == 2
+        assert sets == [1, 2]
+
+
+def test_no_op_limiter_keeps_submission_order(monkeypatch):
+    monkeypatch.setattr(parallel, "_openblas_controls", lambda: None)
+
+    def make_job(i):
+        def job():
+            time.sleep(0.01 * (5 - i))  # later jobs finish first
+            return i
+
+        return job
+
+    assert run_jobs([make_job(i) for i in range(6)], threads=3) == list(range(6))
