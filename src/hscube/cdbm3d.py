@@ -200,25 +200,20 @@ def _pick_members(dist_window, r0, c0, ref, cfg):
 _MATCH_CHUNK = 256  # references per cross-correlation block
 
 
-def _collect_groups(match_image: np.ndarray, cfg: DenoiseConfig):
-    """Match every reference patch on the grid; returns a list of
-    (member_rows, member_cols) arrays ordered by reference scan order.
+def _match(match_image: np.ndarray, refs, cfg: DenoiseConfig):
+    """Match each reference patch in ``refs``; returns one
+    (member_rows, member_cols) pair per reference, in the order of ``refs``.
 
     Distances use the expansion ||P_ref - P||^2 = ||P||^2 - 2 Re<P, P_ref>
     + ||P_ref||^2 so the cross terms for a whole block of references come
     out of a single matrix product against every patch in the image.
     """
-    h, w = match_image.shape
     pr, pc = cfg.patch_rows, cfg.patch_cols
     n_px = pr * pc
     views = sliding_window_view(match_image, (pr, pc))
     n_vr, n_vc = views.shape[:2]
     feats = views.reshape(n_vr * n_vc, n_px)
     norms = np.einsum("ij,ij->i", feats, feats.conj()).real.reshape(n_vr, n_vc)
-
-    grid_r = _reference_grid(h, pr, cfg.patch_step)
-    grid_c = _reference_grid(w, pc, cfg.patch_step)
-    refs = [(int(r), int(c)) for r in grid_r for c in grid_c]
 
     groups = []
     for start in range(0, len(refs), _MATCH_CHUNK):
@@ -238,6 +233,14 @@ def _collect_groups(match_image: np.ndarray, cfg: DenoiseConfig):
     return groups
 
 
+def _collect_groups(match_image: np.ndarray, cfg: DenoiseConfig):
+    """Match every reference patch on the grid, in scan order."""
+    h, w = match_image.shape
+    grid_r = _reference_grid(h, cfg.patch_rows, cfg.patch_step)
+    grid_c = _reference_grid(w, cfg.patch_cols, cfg.patch_step)
+    return _match(match_image, [(int(r), int(c)) for r in grid_r for c in grid_c], cfg)
+
+
 def block_match(image: np.ndarray, ref_coord: tuple[int, int], cfg: DenoiseConfig) -> PatchGroup:
     """Group the patches most similar to the one anchored at ``ref_coord``."""
     image = np.asarray(image, dtype=np.complex128)
@@ -245,14 +248,8 @@ def block_match(image: np.ndarray, ref_coord: tuple[int, int], cfg: DenoiseConfi
     r, c = ref_coord
     if not (0 <= r <= h - cfg.patch_rows and 0 <= c <= w - cfg.patch_cols):
         raise OutOfBounds(f"reference {ref_coord} does not admit a full patch")
+    rows, cols = _match(image, [(r, c)], cfg)[0]
     views = sliding_window_view(image, (cfg.patch_rows, cfg.patch_cols))
-    n_vr, n_vc = views.shape[:2]
-    r0, r1 = max(0, r - cfg.search_radius), min(n_vr - 1, r + cfg.search_radius)
-    c0, c1 = max(0, c - cfg.search_radius), min(n_vc - 1, c + cfg.search_radius)
-    cand = views[r0 : r1 + 1, c0 : c1 + 1]
-    diff = cand - views[r, c]
-    dist = np.einsum("ijkl,ijkl->ij", diff, diff.conj()).real / (cfg.patch_rows * cfg.patch_cols)
-    rows, cols = _pick_members(dist, r0, c0, (r, c), cfg)
     tensor = np.ascontiguousarray(np.moveaxis(views[rows, cols], 0, 2))
     return PatchGroup(
         reference=(r, c),
@@ -279,13 +276,6 @@ def _bucket_by_size(groups):
     for gi, (rows, _) in enumerate(groups):
         buckets.setdefault(rows.size, []).append(gi)
     return buckets
-
-
-def _gather(views, groups, indices):
-    rows = np.stack([groups[i][0] for i in indices])
-    cols = np.stack([groups[i][1] for i in indices])
-    tensors = np.ascontiguousarray(np.moveaxis(views[rows, cols], 1, 3))
-    return rows, cols, tensors  # (G, K) twice and (G, pr, pc, K)
 
 
 def _scatter(num, den, est, rows, cols, weights, width):
@@ -321,38 +311,59 @@ def _check_image(image: np.ndarray, cfg: DenoiseConfig) -> np.ndarray:
     return image
 
 
-def _identity_mode4(factors, g):
-    factors[-1] = np.broadcast_to(np.eye(2), (g, 2, 2))
-    return factors
+def _grouped_cores(match_image: np.ndarray, images, cfg: DenoiseConfig):
+    """Match on ``match_image`` and group every image in ``images`` at the
+    matched corners, one bucket of equal-size groups at a time.
+
+    Yields (rows, cols, factors, cores): the (G, K) member corners, the
+    per-mode factors of the first image's groups, and the forward transform
+    of each image's groups in those factors.  Under ImRe4D the tensors carry
+    a trailing [re, im] mode, whose factor stays the identity when every
+    image is real.
+    """
+    views = [sliding_window_view(im, (cfg.patch_rows, cfg.patch_cols)) for im in images]
+    groups = _collect_groups(match_image, cfg)
+    imre = cfg.variant is Variant.IMRE_4D
+    real_only = imre and not any(np.any(im.imag) for im in images)
+    for indices in _bucket_by_size(groups).values():
+        rows = np.stack([groups[i][0] for i in indices])
+        cols = np.stack([groups[i][1] for i in indices])
+        tensors = [np.ascontiguousarray(np.moveaxis(v[rows, cols], 1, 3)) for v in views]
+        if imre:
+            tensors = [to_imre(t) for t in tensors]
+        factors = _batched_factors(tensors[0])
+        if real_only:
+            factors[-1] = np.broadcast_to(np.eye(2), (len(indices), 2, 2))
+        yield rows, cols, factors, [_batched_transform(t, factors, forward=True) for t in tensors]
+
+
+def _collaborative_pass(match_image: np.ndarray, images, cfg: DenoiseConfig, shrink) -> np.ndarray:
+    """Shrink every group with ``shrink(*cores) -> (core, weights)``, invert
+    and average the weighted patch estimates back into the image."""
+    h, w = match_image.shape
+    num = np.zeros((h, w), dtype=np.complex128)
+    den = np.zeros((h, w), dtype=np.float64)
+    for rows, cols, factors, cores in _grouped_cores(match_image, images, cfg):
+        core, weights = shrink(*cores)
+        del cores  # free the unshrunk cores before the inverse allocates
+        est = _batched_transform(core, factors, forward=False)
+        if cfg.variant is Variant.IMRE_4D:
+            est = from_imre(est)
+        _scatter(num, den, est, rows, cols, weights, w)
+    return num / den
 
 
 def threshold_stage(image: np.ndarray, cfg: DenoiseConfig) -> np.ndarray:
     """First stage: hard thresholding of group transform coefficients."""
     image = _check_image(image, cfg)
     sigma = cfg.sigma if cfg.sigma is not None else 0.0
-    h, w = image.shape
-    views = sliding_window_view(image, (cfg.patch_rows, cfg.patch_cols))
-    groups = _collect_groups(image, cfg)
-    real_only = cfg.variant is Variant.IMRE_4D and not np.any(image.imag)
-
-    num = np.zeros((h, w), dtype=np.complex128)
-    den = np.zeros((h, w), dtype=np.float64)
     thr = cfg.hard_threshold_factor * sigma
-    for indices in _bucket_by_size(groups).values():
-        rows, cols, tensors = _gather(views, groups, indices)
-        if cfg.variant is Variant.IMRE_4D:
-            tensors = to_imre(tensors)
-        factors = _batched_factors(tensors)
-        if real_only:
-            factors = _identity_mode4(factors, tensors.shape[0])
-        core = _batched_transform(tensors, factors, forward=True)
+
+    def shrink(core):
         core, n_retained = hard_threshold_core(core, thr)
-        est = _batched_transform(core, factors, forward=False)
-        if cfg.variant is Variant.IMRE_4D:
-            est = from_imre(est)
-        weights = 1.0 / np.maximum(1, n_retained)
-        _scatter(num, den, est, rows, cols, weights, w)
-    return num / den
+        return core, 1.0 / np.maximum(1, n_retained)
+
+    return _collaborative_pass(image, [image], cfg, shrink)
 
 
 def wiener_stage(image: np.ndarray, pilot: np.ndarray, cfg: DenoiseConfig) -> np.ndarray:
@@ -369,36 +380,13 @@ def wiener_stage(image: np.ndarray, pilot: np.ndarray, cfg: DenoiseConfig) -> np
         )
     pilot = _check_image(pilot, cfg)
     sigma = cfg.sigma if cfg.sigma is not None else 0.0
-    h, w = image.shape
-    patch_shape = (cfg.patch_rows, cfg.patch_cols)
-    views_noisy = sliding_window_view(image, patch_shape)
-    views_pilot = sliding_window_view(pilot, patch_shape)
-    groups = _collect_groups(pilot, cfg)
-    real_only = cfg.variant is Variant.IMRE_4D and not (
-        np.any(image.imag) or np.any(pilot.imag)
-    )
 
-    num = np.zeros((h, w), dtype=np.complex128)
-    den = np.zeros((h, w), dtype=np.float64)
-    for indices in _bucket_by_size(groups).values():
-        rows, cols, t_pilot = _gather(views_pilot, groups, indices)
-        t_noisy = np.ascontiguousarray(np.moveaxis(views_noisy[rows, cols], 1, 3))
-        if cfg.variant is Variant.IMRE_4D:
-            t_pilot = to_imre(t_pilot)
-            t_noisy = to_imre(t_noisy)
-        factors = _batched_factors(t_pilot)
-        if real_only:
-            factors = _identity_mode4(factors, t_pilot.shape[0])
-        core_p = _batched_transform(t_pilot, factors, forward=True)
-        core_n = _batched_transform(t_noisy, factors, forward=True)
-        core_hat, shrink = wiener_shrink_core(core_n, core_p, sigma)
-        est = _batched_transform(core_hat, factors, forward=False)
-        if cfg.variant is Variant.IMRE_4D:
-            est = from_imre(est)
-        shrink_energy = shrink.reshape(shrink.shape[0], -1)
-        weights = 1.0 / (sigma * sigma * np.einsum("gi,gi->g", shrink_energy, shrink_energy) + AGG_EPS)
-        _scatter(num, den, est, rows, cols, weights, w)
-    return num / den
+    def shrink(core_pilot, core_noisy):
+        core, attenuation = wiener_shrink_core(core_noisy, core_pilot, sigma)
+        energy = attenuation.reshape(attenuation.shape[0], -1)
+        return core, 1.0 / (sigma * sigma * np.einsum("gi,gi->g", energy, energy) + AGG_EPS)
+
+    return _collaborative_pass(pilot, [pilot, image], cfg, shrink)
 
 
 def denoise_image(image: np.ndarray, cfg: DenoiseConfig) -> np.ndarray:
@@ -415,13 +403,8 @@ def denoise_image(image: np.ndarray, cfg: DenoiseConfig) -> np.ndarray:
 def _tail_mad(image: np.ndarray, probe: DenoiseConfig) -> float:
     """Uncalibrated deviation estimate from the trailing transform content
     (core coefficients whose index sits in the upper half of every mode)."""
-    views = sliding_window_view(image, (probe.patch_rows, probe.patch_cols))
-    groups = _collect_groups(image, probe)
     tail = []
-    for indices in _bucket_by_size(groups).values():
-        _, _, tensors = _gather(views, groups, indices)
-        factors = _batched_factors(tensors)
-        core = _batched_transform(tensors, factors, forward=True)
+    for _, _, _, (core,) in _grouped_cores(image, [image], probe):
         sl = tuple(slice(d // 2, None) for d in core.shape[1:])
         tail.append(core[(slice(None),) + sl].ravel())
     coeffs = np.concatenate(tail)
@@ -457,7 +440,7 @@ def estimate_sigma(image: np.ndarray, cfg: DenoiseConfig | None = None) -> float
     indices fall in the upper half of every mode, which carry almost no
     signal, feed a median-absolute-deviation estimate; the value is
     calibrated against a unit-noise probe and returned as the total complex
-    standard deviation.
+    standard deviation.  A constant image returns exactly 0.0.
     """
     base = cfg or DenoiseConfig()
     probe = replace(
@@ -465,6 +448,9 @@ def estimate_sigma(image: np.ndarray, cfg: DenoiseConfig | None = None) -> float
         patch_step=max(base.patch_rows, base.patch_cols),
         max_group_size=min(base.max_group_size, 8),
         sigma=0.0,
+        variant=Variant.COMPLEX_3D,  # the probe works on complex tensors
     )
     image = _check_image(image, probe)
+    if np.all(image == image.flat[0]):
+        return 0.0
     return _tail_mad(image, probe) / _sigma_calibration(probe)

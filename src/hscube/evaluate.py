@@ -16,7 +16,7 @@ from dataclasses import asdict, dataclass, field, replace
 import numpy as np
 
 from .ccf import WindowSpec, ccf_denoise, ccf_sliding
-from .cdbm3d import DenoiseConfig, Stages, Variant, denoise_image
+from .cdbm3d import DenoiseConfig, Stages, Variant, denoise_image, estimate_sigma
 from .cube import ComplexCube
 from .errors import DimensionMismatch, DispersionRequired, ManifestError, ZeroReference
 from .parallel import run_jobs
@@ -150,8 +150,6 @@ def baseline_separate(noisy: ComplexCube, cfg: DenoiseConfig, threads: int = 1) 
             band = noisy.band(b)
             sigma = cfg.sigma
             if sigma is None:
-                from .cdbm3d import estimate_sigma
-
                 sigma = estimate_sigma(band, cfg)
             real_cfg = replace(cfg, sigma=sigma / np.sqrt(2.0))
             amp = denoise_image(np.abs(band).astype(np.complex128), real_cfg).real

@@ -78,6 +78,24 @@ class TestBlockMatch:
         group = block_match(img, (5, 5), DenoiseConfig(sigma=1.0, max_group_size=9))
         assert group.size == 9
 
+    @pytest.mark.parametrize("match_threshold", [None, 3.5])
+    def test_same_groups_as_the_filter(self, match_threshold):
+        rng = np.random.default_rng(4)
+        img = random_field(rng, (24, 24))
+        cfg = DenoiseConfig(sigma=1.0, search_radius=5, match_threshold=match_threshold)
+        groups = cdbm3d._collect_groups(img, cfg)
+        refs = [(r, c) for r in (0, 3, 6, 9, 12, 15, 16) for c in (0, 3, 6, 9, 12, 15, 16)]
+        assert len(groups) == len(refs)
+        sizes = set()
+        for ref, (rows, cols) in zip(refs, groups):
+            group = block_match(img, ref, cfg)
+            assert np.array_equal(group.coords, np.stack([rows, cols], axis=1))
+            sizes.add(group.size)
+        if match_threshold is None:
+            assert sizes == {cfg.max_group_size}
+        else:
+            assert len(sizes) > 1  # the threshold prunes some groups
+
 
 class TestHosvd:
     def test_round_trip_complex(self):
@@ -287,6 +305,10 @@ class TestEstimateSigma:
         )
         est = estimate_sigma(img)
         assert est == pytest.approx(sigma, rel=0.15)
+
+    @pytest.mark.parametrize("value", [2 + 1j, 5.0, 0.0])
+    def test_constant_image_is_noise_free(self, value):
+        assert estimate_sigma(np.full((32, 32), value)) == 0.0
 
     def test_used_when_config_sigma_missing(self, two_peak_slice):
         truth, noisy, _ = two_peak_slice
