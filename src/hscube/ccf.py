@@ -20,6 +20,7 @@ import numpy as np
 
 from .cdbm3d import DenoiseConfig, denoise_image
 from .cube import ComplexCube, SpectralMatrix, reshape_to_cube, reshape_to_matrix
+from .errors import DimensionMismatch
 from .parallel import run_jobs
 from .subspace import back_project, identify_subspace, project
 
@@ -75,7 +76,7 @@ def sliding_plan(n_bands: int, window: WindowSpec) -> list[WindowRun]:
                 if best is None or key < best[0]:
                     best = (key, ci)
         if best is None:
-            raise ValueError(
+            raise DimensionMismatch(
                 f"band {b} is not covered by any window "
                 f"(width={window.width}, step={window.step})"
             )

@@ -177,59 +177,106 @@ def _reference_grid(size: int, patch: int, step: int) -> np.ndarray:
     return np.asarray(grid, dtype=np.intp)
 
 
-def _pick_members(dist_window, r0, c0, ref, cfg):
-    """Rank one reference's window distances; reference first, then ascending
-    distance with (row, col) tie-break."""
-    r, c = ref
-    nr, nc = dist_window.shape
-    dist = dist_window.ravel()
-    rows = np.repeat(np.arange(r0, r0 + nr), nc)
-    cols = np.tile(np.arange(c0, c0 + nc), nr)
-    self_pos = (r - r0) * nc + (c - c0)
-    order = np.lexsort((cols, rows, dist))
-    order = order[order != self_pos]
-    if cfg.match_threshold is not None:
-        order = order[dist[order] <= cfg.match_threshold]
-    order = order[: cfg.max_group_size - 1]
-    return (
-        np.concatenate(([r], rows[order])),
-        np.concatenate(([c], cols[order])),
+def _patch_energies(image: np.ndarray, pr: int, pc: int) -> np.ndarray:
+    """||P||^2 of the patch at every corner, summed in the patch's scan order."""
+    n_vr, n_vc = image.shape[0] - pr + 1, image.shape[1] - pc + 1
+    power = image.real * image.real + image.imag * image.imag
+    energies = np.zeros((n_vr, n_vc))
+    for dr in range(pr):
+        for dc in range(pc):
+            energies += power[dr : dr + n_vr, dc : dc + n_vc]
+    return energies
+
+
+def _nearest(dist: np.ndarray, keep: int):
+    """Column indices and values of the ``keep`` smallest entries of each
+    row, ordered by value and then by index; where entries tie at the cut,
+    the lowest indices are kept.  Rows with fewer finite entries end in +inf.
+    """
+    keep = min(keep, dist.shape[1])
+    idx = np.argpartition(dist, keep - 1, axis=1)[:, :keep]
+    cut = np.take_along_axis(dist, idx[:, -1:], axis=1)
+    # argpartition keeps any subset of the entries tied at a finite cut;
+    # rows where some were left out take the lowest indices instead
+    left_out = np.count_nonzero(dist == cut, axis=1) > np.count_nonzero(
+        np.take_along_axis(dist, idx, axis=1) == cut, axis=1
     )
+    fix = np.flatnonzero(left_out & (cut[:, 0] < np.inf))
+    if fix.size:
+        sub, sub_cut = dist[fix], cut[fix]
+        chosen = sub < sub_cut
+        tied = sub == sub_cut
+        chosen |= tied & (np.cumsum(tied, axis=1) <= keep - chosen.sum(axis=1, keepdims=True))
+        idx[fix] = np.nonzero(chosen)[1].reshape(fix.size, keep)
+    d = np.take_along_axis(dist, idx, axis=1)
+    order = np.lexsort((idx, d), axis=1)
+    return np.take_along_axis(idx, order, axis=1), np.take_along_axis(d, order, axis=1)
 
 
-_MATCH_CHUNK = 256  # references per cross-correlation block
+_MATCH_TILE = 6  # side of the square matching tiles, in patch steps
 
 
 def _match(match_image: np.ndarray, refs, cfg: DenoiseConfig):
     """Match each reference patch in ``refs``; returns one
     (member_rows, member_cols) pair per reference, in the order of ``refs``.
 
-    Distances use the expansion ||P_ref - P||^2 = ||P||^2 - 2 Re<P, P_ref>
-    + ||P_ref||^2 so the cross terms for a whole block of references come
-    out of a single matrix product against every patch in the image.
+    Members are the reference, then up to ``max_group_size - 1`` other
+    patches of its search window in ascending distance, ties broken by
+    (row, col).  References are matched a tile at a time against the patches
+    of the box covering the tile's search windows only, so the cost grows
+    with the pixel count, not its square.  Distances use the expansion
+    ||P_ref - P||^2 = ||P||^2 - 2 Re<P, P_ref> + ||P_ref||^2, so the cross
+    terms of a whole tile come out of a single matrix product.
     """
     pr, pc = cfg.patch_rows, cfg.patch_cols
     n_px = pr * pc
-    views = sliding_window_view(match_image, (pr, pc))
-    n_vr, n_vc = views.shape[:2]
-    feats = views.reshape(n_vr * n_vc, n_px)
-    norms = np.einsum("ij,ij->i", feats, feats.conj()).real.reshape(n_vr, n_vc)
+    rad = cfg.search_radius
+    keep = cfg.max_group_size - 1
+    refs = np.asarray(refs, dtype=np.intp).reshape(-1, 2)
+    if keep == 0:
+        return [(ref[:1], ref[1:]) for ref in refs]
+    norms = _patch_energies(match_image, pr, pc)
+    n_vr, n_vc = norms.shape
 
-    groups = []
-    for start in range(0, len(refs), _MATCH_CHUNK):
-        chunk = refs[start : start + _MATCH_CHUNK]
-        idx = np.array([r * n_vc + c for r, c in chunk])
-        cross = (feats @ feats[idx].conj().T).real.reshape(n_vr, n_vc, len(chunk))
-        for g, (r, c) in enumerate(chunk):
-            r0, r1 = max(0, r - cfg.search_radius), min(n_vr - 1, r + cfg.search_radius)
-            c0, c1 = max(0, c - cfg.search_radius), min(n_vc - 1, c + cfg.search_radius)
-            dist = (
-                norms[r0 : r1 + 1, c0 : c1 + 1]
-                - 2.0 * cross[r0 : r1 + 1, c0 : c1 + 1, g]
-                + norms[r, c]
-            ) / n_px
-            np.maximum(dist, 0.0, out=dist)
-            groups.append(_pick_members(dist, r0, c0, (r, c), cfg))
+    side = _MATCH_TILE * cfg.patch_step  # about _MATCH_TILE**2 grid references per tile
+    tiles = refs // side
+    tile_id = tiles[:, 0] * (n_vc // side + 1) + tiles[:, 1]
+    by_tile = np.argsort(tile_id, kind="stable")
+    groups = [None] * len(refs)
+    for members in np.split(by_tile, np.flatnonzero(np.diff(tile_id[by_tile])) + 1):
+        r, c = refs[members, 0], refs[members, 1]
+        r0, r1 = np.maximum(r - rad, 0), np.minimum(r + rad, n_vr - 1)
+        c0, c1 = np.maximum(c - rad, 0), np.minimum(c + rad, n_vc - 1)
+        br, bc = r0.min(), c0.min()
+        bh, bw = r1.max() - br + 1, c1.max() - bc + 1
+        box = match_image[br : br + bh + pr - 1, bc : bc + bw + pc - 1]
+        feats = sliding_window_view(box, (pr, pc)).reshape(bh * bw, n_px)
+        own = (r - br) * bw + (c - bc)
+        cross = (feats @ feats[own].conj().T).real
+        box_norms = norms[br : br + bh, bc : bc + bw].ravel()
+        dist = (box_norms - 2.0 * cross.T + box_norms[own, None]) / n_px
+        np.maximum(dist, 0.0, out=dist)
+
+        # only the reference's own window, without the reference itself
+        box_r, box_c = np.arange(br, br + bh), np.arange(bc, bc + bw)
+        in_r = (box_r >= r0[:, None]) & (box_r <= r1[:, None])
+        in_c = (box_c >= c0[:, None]) & (box_c <= c1[:, None])
+        outside = ~(in_r[:, :, None] & in_c[:, None, :]).reshape(dist.shape)
+        outside[np.arange(len(members)), own] = True
+        if cfg.match_threshold is not None:
+            outside |= dist > cfg.match_threshold
+        dist[outside] = np.inf
+
+        idx, d = _nearest(dist, keep)
+        found = d < np.inf  # a prefix of each row
+        flat = idx[found]
+        counts = found.sum(axis=1)
+        starts = np.cumsum(counts) - counts
+        rows = np.insert(br + flat // bw, starts, r)
+        cols = np.insert(bc + flat % bw, starts, c)
+        splits = np.cumsum(counts + 1)[:-1]
+        for gi, rr, cc in zip(members, np.split(rows, splits), np.split(cols, splits)):
+            groups[gi] = (rr, cc)
     return groups
 
 
@@ -243,12 +290,17 @@ def _collect_groups(match_image: np.ndarray, cfg: DenoiseConfig):
 
 def block_match(image: np.ndarray, ref_coord: tuple[int, int], cfg: DenoiseConfig) -> PatchGroup:
     """Group the patches most similar to the one anchored at ``ref_coord``."""
-    image = np.asarray(image, dtype=np.complex128)
+    image = _check_image(image, cfg)
     h, w = image.shape
     r, c = ref_coord
     if not (0 <= r <= h - cfg.patch_rows and 0 <= c <= w - cfg.patch_cols):
         raise OutOfBounds(f"reference {ref_coord} does not admit a full patch")
-    rows, cols = _match(image, [(r, c)], cfg)[0]
+    # only the search window takes part, so the cost does not grow with the image
+    rad = cfg.search_radius
+    r0, c0 = max(0, r - rad), max(0, c - rad)
+    window = image[r0 : r + rad + cfg.patch_rows, c0 : c + rad + cfg.patch_cols]
+    rows, cols = _match(window, [(r - r0, c - c0)], cfg)[0]
+    rows, cols = rows + r0, cols + c0
     views = sliding_window_view(image, (cfg.patch_rows, cfg.patch_cols))
     tensor = np.ascontiguousarray(np.moveaxis(views[rows, cols], 0, 2))
     return PatchGroup(

@@ -254,7 +254,7 @@ def cmd_metrics(args) -> int:
     report = make_report(
         est,
         truth,
-        evaluate.snr_db(est, truth),
+        float("nan"),  # snr_db holds the input SNR, and metrics never sees the noisy cube
         object_name=os.path.basename(args.truth),
         method=os.path.basename(args.estimate),
         sigma=None,

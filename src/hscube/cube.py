@@ -21,6 +21,7 @@ CHSC binary layout (little endian):
 
 from __future__ import annotations
 
+import os
 import struct
 from dataclasses import dataclass, field
 
@@ -154,32 +155,41 @@ def write_cube(cube: ComplexCube, path) -> None:
 
 
 def read_cube(path) -> ComplexCube:
-    """Read a CHSC file, validating the header and payload size."""
+    """Read a CHSC file, validating the header and payload size.
+
+    The size the header declares is checked against the file's size before
+    anything is allocated, and the payload is read one band at a time into
+    the final array, so peak memory stays close to the payload itself.
+    """
     with open(path, "rb") as f:
-        raw = f.read()
-    if raw[:4] != _MAGIC:
-        raise BadMagic(f"expected magic {_MAGIC!r}, got {raw[:4]!r}")
-    if len(raw) < 8:
-        raise TruncatedPayload("file ends inside the version field")
-    (version,) = struct.unpack_from("<I", raw, 4)
-    if version != _VERSION:
-        raise UnsupportedVersion(f"unsupported CHSC version {version}")
-    if len(raw) < 8 + _HEADER.size:
-        raise TruncatedPayload("file ends inside the dimension header")
-    n, m, l = _HEADER.unpack_from(raw, 8)
-    offset = 8 + _HEADER.size
-    wl_bytes = l * 8
-    if len(raw) < offset + wl_bytes:
-        raise TruncatedPayload("file ends inside the wavelength table")
-    wl = np.frombuffer(raw, dtype="<f8", count=l, offset=offset)
-    if l > 1 and not np.all(np.diff(wl) > 0):
-        raise NonMonotoneWavelengths("wavelength table is not strictly increasing")
-    offset += wl_bytes
-    expected = n * m * l * 16
-    if len(raw) - offset != expected:
-        raise TruncatedPayload(
-            f"payload holds {len(raw) - offset} bytes, header declares {expected}"
-        )
-    flat = np.frombuffer(raw, dtype="<c16", count=n * m * l, offset=offset)
-    data = flat.reshape(l, n, m).transpose(1, 2, 0)
-    return ComplexCube(wavelengths=wl.copy(), data=data.copy())
+        head = f.read(8 + _HEADER.size)
+        if head[:4] != _MAGIC:
+            raise BadMagic(f"expected magic {_MAGIC!r}, got {head[:4]!r}")
+        if len(head) < 8:
+            raise TruncatedPayload("file ends inside the version field")
+        (version,) = struct.unpack_from("<I", head, 4)
+        if version != _VERSION:
+            raise UnsupportedVersion(f"unsupported CHSC version {version}")
+        if len(head) < 8 + _HEADER.size:
+            raise TruncatedPayload("file ends inside the dimension header")
+        n, m, l = _HEADER.unpack_from(head, 8)
+        rest = os.fstat(f.fileno()).st_size - len(head)
+        if rest < l * 8:
+            raise TruncatedPayload("file ends inside the wavelength table")
+        expected = n * m * l * 16
+        if rest - l * 8 != expected:
+            raise TruncatedPayload(
+                f"payload holds {rest - l * 8} bytes, header declares {expected}"
+            )
+        wl = np.empty(l, dtype="<f8")
+        if f.readinto(wl) != wl.nbytes:
+            raise TruncatedPayload("file ends inside the wavelength table")
+        if l > 1 and not np.all(np.diff(wl) > 0):
+            raise NonMonotoneWavelengths("wavelength table is not strictly increasing")
+        data = np.empty((n, m, l), dtype=np.complex128)
+        band = np.empty((n, m), dtype="<c16")
+        for b in range(l):
+            if f.readinto(band) != band.nbytes:
+                raise TruncatedPayload(f"file ends inside band {b}")
+            data[:, :, b] = band
+    return ComplexCube(wavelengths=wl, data=data)

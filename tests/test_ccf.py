@@ -1,10 +1,12 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import hscube as hs
 from hscube.ccf import WindowSpec, ccf_denoise, ccf_sliding, sliding_plan
 from hscube.cdbm3d import DenoiseConfig, Variant
-from hscube.errors import TooFewBands
+from hscube.errors import HscubeError, TooFewBands
 
 
 def rank3_cube(rng, l=24, side=24):
@@ -56,6 +58,18 @@ class TestSlidingPlan:
         assert 14 in centers[10].kept
         # exact tie at band 15 goes to the lower center
         assert 15 in centers[10].kept
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(1, 240), st.integers(1, 260), st.integers(1, 260))
+    def test_plan_owns_every_band_once(self, bands, width, step):
+        try:
+            plan = sliding_plan(bands, WindowSpec(width=width, step=step))
+        except HscubeError:
+            return
+        assert sorted(b for run in plan for b in run.kept) == list(range(bands))
+        for run in plan:
+            assert 0 <= run.band_lo < run.band_hi <= bands
+            assert all(run.band_lo <= b < run.band_hi for b in run.kept)
 
     def test_uncoverable_band_rejected(self):
         with pytest.raises(ValueError):

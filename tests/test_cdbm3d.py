@@ -1,8 +1,10 @@
 import functools
 import sys
+from unittest import mock
 
 import numpy as np
 import pytest
+from numpy.lib.stride_tricks import sliding_window_view
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -29,6 +31,26 @@ from hscube.parallel import run_jobs
 
 def random_field(rng, shape):
     return rng.normal(size=shape) + 1j * rng.normal(size=shape)
+
+
+def brute_force_members(img, ref, cfg):
+    """Group of ``ref`` from the direct sum of |P_ref - P|^2 over its search
+    window: the reference, then members by distance, row and column."""
+    pr, pc, rad = cfg.patch_rows, cfg.patch_cols, cfg.search_radius
+    r, c = ref
+    rows = range(max(0, r - rad), min(img.shape[0] - pr, r + rad) + 1)
+    cols = range(max(0, c - rad), min(img.shape[1] - pc, c + rad) + 1)
+    patches = sliding_window_view(img, (pr, pc))[rows.start : rows.stop, cols.start : cols.stop]
+    diff = patches - img[r : r + pr, c : c + pc]
+    dist = (diff.real**2 + diff.imag**2).sum(axis=(2, 3)) / (pr * pc)
+    candidates = sorted(
+        (dist[a, b], i, j)
+        for a, i in enumerate(rows)
+        for b, j in enumerate(cols)
+        if (i, j) != ref and (cfg.match_threshold is None or dist[a, b] <= cfg.match_threshold)
+    )
+    kept = candidates[: cfg.max_group_size - 1]
+    return [r] + [i for _, i, _ in kept], [c] + [j for _, _, j in kept]
 
 
 class TestBlockMatch:
@@ -73,6 +95,12 @@ class TestBlockMatch:
         with pytest.raises(OutOfBounds):
             block_match(img, (10, 0), DenoiseConfig(sigma=1.0))
 
+    def test_non_finite_image_rejected(self):
+        img = np.ones((24, 24), complex)
+        img[3, 3] = np.nan
+        with pytest.raises(DimensionMismatch):
+            block_match(img, (0, 0), DenoiseConfig(sigma=1.0))
+
     def test_group_capped_at_k(self):
         img = np.ones((30, 30), complex)
         group = block_match(img, (5, 5), DenoiseConfig(sigma=1.0, max_group_size=9))
@@ -95,6 +123,46 @@ class TestBlockMatch:
             assert sizes == {cfg.max_group_size}
         else:
             assert len(sizes) > 1  # the threshold prunes some groups
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.data())
+    def test_same_groups_as_brute_force(self, data):
+        # Samples are small complex integers, so every distance is an exact
+        # integer over the patch size in float64 under both formulas: a tie
+        # between two candidates is a real tie, never a rounding accident.
+        h, w = data.draw(st.integers(1, 24)), data.draw(st.integers(1, 24))
+        kind = data.draw(st.sampled_from(["random", "constant", "periodic"]))
+        seed = data.draw(st.integers(0, 2**31 - 1))
+        rng = np.random.default_rng(seed)
+        if kind == "random":
+            img = rng.integers(-2, 3, (h, w)) + 1j * rng.integers(-2, 3, (h, w))
+        elif kind == "constant":
+            img = np.full((h, w), complex(*rng.integers(-2, 3, 2)))
+        else:
+            period = rng.integers(-2, 3, (2, 3)) + 1j * rng.integers(-2, 3, (2, 3))
+            img = np.tile(period, (h // 2 + 1, w // 3 + 1))[:h, :w]
+        cfg = DenoiseConfig(
+            patch_rows=data.draw(st.integers(1, min(h, 5))),
+            patch_cols=data.draw(st.integers(1, min(w, 5))),
+            patch_step=data.draw(st.integers(1, 5)),
+            search_radius=data.draw(st.integers(0, 26)),
+            max_group_size=data.draw(st.integers(1, 24)),
+            match_threshold=data.draw(st.sampled_from([None, 0.0, 0.5, 1.0, 2.25, 4.0])),
+        )
+        n_vr, n_vc = h - cfg.patch_rows + 1, w - cfg.patch_cols + 1
+        grid = [(r, c)
+                for r in cdbm3d._reference_grid(h, cfg.patch_rows, cfg.patch_step)
+                for c in cdbm3d._reference_grid(w, cfg.patch_cols, cfg.patch_step)]
+        extra = data.draw(st.lists(
+            st.tuples(st.integers(0, n_vr - 1), st.integers(0, n_vc - 1)), max_size=6))
+        refs = [(int(r), int(c)) for r, c in grid] + extra
+        tile = data.draw(st.sampled_from([1, 2, cdbm3d._MATCH_TILE]))
+        with mock.patch.object(cdbm3d, "_MATCH_TILE", tile):
+            groups = cdbm3d._match(img, refs, cfg)
+        assert len(groups) == len(refs)
+        for ref, (rows, cols) in zip(refs, groups):
+            expected_rows, expected_cols = brute_force_members(img, ref, cfg)
+            assert rows.tolist() == expected_rows and cols.tolist() == expected_cols
 
 
 class TestHosvd:

@@ -1,3 +1,4 @@
+import csv
 import json
 import subprocess
 import sys
@@ -163,6 +164,16 @@ class TestMetrics:
                 synth_dir / "noisy.chsc", synth_dir / "truth.chsc")
         header = (tmp_path / "m.csv").read_text().splitlines()[0]
         assert header == ",".join(CSV_COLUMNS)
+
+    def test_input_snr_column_is_nan(self, synth_dir, tmp_path):
+        # metrics never sees the noisy cube, so it cannot know the input SNR
+        res = run_cli("metrics", "--out", tmp_path / "m.csv",
+                      synth_dir / "noisy.chsc", synth_dir / "truth.chsc")
+        assert res.returncode == 0, res.stderr
+        with open(tmp_path / "m.csv", newline="") as f:
+            rows = list(csv.DictReader(f))
+        assert len(rows) == 13  # 12 bands and the summary row
+        assert all(row["snr_db"] == "nan" for row in rows)
 
     def test_stdout_when_no_out_flag(self, synth_dir):
         res = run_cli("metrics", synth_dir / "truth.chsc", synth_dir / "truth.chsc")

@@ -1,3 +1,7 @@
+import os
+import tempfile
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -14,6 +18,7 @@ from hscube.cube import (
 from hscube.errors import (
     BadMagic,
     DimensionMismatch,
+    HscubeError,
     NonMonotoneWavelengths,
     TruncatedPayload,
     UnsupportedVersion,
@@ -169,3 +174,43 @@ class TestChscFiles:
         path.write_bytes(bytes(raw))
         with pytest.raises(NonMonotoneWavelengths):
             read_cube(path)
+
+    def test_read_peak_memory_close_to_payload(self, tmp_path):
+        cube = random_cube(np.random.default_rng(9), 64, 64, 200)
+        path = tmp_path / "large.chsc"
+        write_cube(cube, path)
+        payload = cube.data.nbytes
+        del cube
+        tracemalloc.start()
+        try:
+            back = read_cube(path)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert back.shape == (64, 64, 200)
+        assert peak <= 1.25 * payload
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_damaged_file_fails_typed_or_reads_valid(self, data):
+        n, m, l = (data.draw(st.integers(0, 4)) for _ in range(3))
+        cube = random_cube(np.random.default_rng(data.draw(st.integers(0, 2**32 - 1))), n, m, l)
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "damaged.chsc")
+            write_cube(cube, path)
+            with open(path, "rb") as f:
+                raw = bytearray(f.read())
+            if data.draw(st.booleans()):
+                raw = raw[: data.draw(st.integers(0, len(raw) - 1))]
+            else:
+                for _ in range(data.draw(st.integers(1, 6))):
+                    raw[data.draw(st.integers(0, len(raw) - 1))] = data.draw(st.integers(0, 255))
+            with open(path, "wb") as f:
+                f.write(raw)
+            try:
+                back = read_cube(path)
+            except HscubeError:
+                return
+        assert isinstance(back, ComplexCube)
+        assert back.wavelengths.shape == (back.n_bands,)
+        assert np.all(np.isfinite(back.data)) and np.all(np.diff(back.wavelengths) > 0)
