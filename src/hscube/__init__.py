@@ -11,8 +11,6 @@ included for end-to-end accuracy studies.
 from .ccf import WindowSpec, ccf_denoise, ccf_sliding, sliding_plan
 from .cdbm3d import (
     DenoiseConfig,
-    HosvdFactors,
-    PatchGroup,
     Stages,
     Variant,
     block_match,

@@ -11,8 +11,11 @@ Two tensor layouts are supported: ``Complex3D`` keeps groups as complex
 rows x cols x K tensors; ``ImRe4D`` splits real and imaginary parts into a
 fourth mode of size two and works on real tensors.
 
-The heavy lifting is batched: all groups that matched the same number of
-patches are factored and shrunk together through stacked linear algebra.
+The heavy lifting is batched: groups that matched the same number of
+patches are factored, shrunk, inverted and aggregated together through
+stacked linear algebra, ``_GROUP_CHUNK`` groups at a time, so the working
+set stays in cache and the filter's memory does not grow with the image
+beyond its image-sized accumulators and match lists.
 """
 
 from __future__ import annotations
@@ -331,6 +334,8 @@ def _bucket_by_size(groups):
 
 
 def _scatter(num, den, est, rows, cols, weights, width):
+    """Add the weighted patch estimates into the flat image sums ``num`` and
+    ``den``; ``np.add.at`` sums each pixel in index order."""
     pr, pc = est.shape[1], est.shape[2]
     vals = np.moveaxis(est, 3, 1)  # (G, K, pr, pc)
     base = rows * width + cols
@@ -340,14 +345,8 @@ def _scatter(num, den, est, rows, cols, weights, width):
         + np.arange(pc)[None, None, None, :]
     ).ravel()
     wv = weights[:, None, None, None]
-    weighted = (wv * vals).ravel()
-    num += (
-        np.bincount(idx, weights=weighted.real, minlength=num.size)
-        + 1j * np.bincount(idx, weights=weighted.imag, minlength=num.size)
-    ).reshape(num.shape)
-    den += np.bincount(
-        idx, weights=np.broadcast_to(wv, vals.shape).ravel(), minlength=den.size
-    ).reshape(den.shape)
+    np.add.at(num.reshape(-1), idx, (wv * vals).ravel())
+    np.add.at(den.reshape(-1), idx, np.broadcast_to(wv, vals.shape).ravel())
 
 
 def _check_image(image: np.ndarray, cfg: DenoiseConfig) -> np.ndarray:
@@ -363,45 +362,66 @@ def _check_image(image: np.ndarray, cfg: DenoiseConfig) -> np.ndarray:
     return image
 
 
+_GROUP_CHUNK = 64  # groups taken through the collaborative pass at a time
+
+
 def _grouped_cores(match_image: np.ndarray, images, cfg: DenoiseConfig):
     """Match on ``match_image`` and group every image in ``images`` at the
-    matched corners, one bucket of equal-size groups at a time.
+    matched corners.
 
-    Yields (rows, cols, factors, cores): the (G, K) member corners, the
+    Yields one iterator per bucket of equal-size groups, which gathers and
+    transforms the bucket ``_GROUP_CHUNK`` groups at a time.  Each step
+    yields (rows, cols, factors, cores): the (G, K) member corners, the
     per-mode factors of the first image's groups, and the forward transform
     of each image's groups in those factors.  Under ImRe4D the tensors carry
     a trailing [re, im] mode, whose factor stays the identity when every
-    image is real.
+    image is real.  Every step works per group, so the chunk size does not
+    change a bit of the result.
     """
     views = [sliding_window_view(im, (cfg.patch_rows, cfg.patch_cols)) for im in images]
     groups = _collect_groups(match_image, cfg)
     imre = cfg.variant is Variant.IMRE_4D
     real_only = imre and not any(np.any(im.imag) for im in images)
+
+    def chunks(indices):
+        for start in range(0, len(indices), _GROUP_CHUNK):
+            part = indices[start : start + _GROUP_CHUNK]
+            rows = np.stack([groups[i][0] for i in part])
+            cols = np.stack([groups[i][1] for i in part])
+            tensors = [np.ascontiguousarray(np.moveaxis(v[rows, cols], 1, 3)) for v in views]
+            if imre:
+                tensors = [to_imre(t) for t in tensors]
+            factors = _batched_factors(tensors[0])
+            if real_only:
+                factors[-1] = np.broadcast_to(np.eye(2), (len(part), 2, 2))
+            cores = [_batched_transform(t, factors, forward=True) for t in tensors]
+            yield rows, cols, factors, cores
+
     for indices in _bucket_by_size(groups).values():
-        rows = np.stack([groups[i][0] for i in indices])
-        cols = np.stack([groups[i][1] for i in indices])
-        tensors = [np.ascontiguousarray(np.moveaxis(v[rows, cols], 1, 3)) for v in views]
-        if imre:
-            tensors = [to_imre(t) for t in tensors]
-        factors = _batched_factors(tensors[0])
-        if real_only:
-            factors[-1] = np.broadcast_to(np.eye(2), (len(indices), 2, 2))
-        yield rows, cols, factors, [_batched_transform(t, factors, forward=True) for t in tensors]
+        yield chunks(indices)
 
 
 def _collaborative_pass(match_image: np.ndarray, images, cfg: DenoiseConfig, shrink) -> np.ndarray:
     """Shrink every group with ``shrink(*cores) -> (core, weights)``, invert
-    and average the weighted patch estimates back into the image."""
+    and average the weighted patch estimates back into the image.
+
+    Each bucket is summed on its own, from zero and in scatter order, and
+    then added to the image sums, so the result does not depend on the
+    chunk size.
+    """
     h, w = match_image.shape
     num = np.zeros((h, w), dtype=np.complex128)
     den = np.zeros((h, w), dtype=np.float64)
-    for rows, cols, factors, cores in _grouped_cores(match_image, images, cfg):
-        core, weights = shrink(*cores)
-        del cores  # free the unshrunk cores before the inverse allocates
-        est = _batched_transform(core, factors, forward=False)
-        if cfg.variant is Variant.IMRE_4D:
-            est = from_imre(est)
-        _scatter(num, den, est, rows, cols, weights, w)
+    for bucket in _grouped_cores(match_image, images, cfg):
+        bucket_num, bucket_den = np.zeros_like(num), np.zeros_like(den)
+        for rows, cols, factors, cores in bucket:
+            core, weights = shrink(*cores)
+            est = _batched_transform(core, factors, forward=False)
+            if cfg.variant is Variant.IMRE_4D:
+                est = from_imre(est)
+            _scatter(bucket_num, bucket_den, est, rows, cols, weights, w)
+        num += bucket_num
+        den += bucket_den
     return num / den
 
 
@@ -456,15 +476,16 @@ def _tail_mad(image: np.ndarray, probe: DenoiseConfig) -> float:
     """Uncalibrated deviation estimate from the trailing transform content
     (core coefficients whose index sits in the upper half of every mode)."""
     tail = []
-    for _, _, _, (core,) in _grouped_cores(image, [image], probe):
-        sl = tuple(slice(d // 2, None) for d in core.shape[1:])
-        tail.append(core[(slice(None),) + sl].ravel())
+    for bucket in _grouped_cores(image, [image], probe):
+        for _, _, _, (core,) in bucket:
+            sl = tuple(slice(d // 2, None) for d in core.shape[1:])
+            tail.append(core[(slice(None),) + sl].ravel())
     coeffs = np.concatenate(tail)
     comps = np.concatenate([coeffs.real, coeffs.imag])
     return float(np.median(np.abs(comps)) / 0.6745 * np.sqrt(2.0))
 
 
-_SIGMA_CALIBRATION: dict[tuple[int, int, int], float] = {}
+_SIGMA_CALIBRATION: dict[tuple, float] = {}
 _SIGMA_CALIBRATION_LOCK = threading.Lock()
 
 
@@ -475,7 +496,15 @@ def _sigma_calibration(probe: DenoiseConfig) -> float:
     tail statistic underestimates sigma by a geometry-dependent factor;
     dividing by this seeded unit-noise probe removes the bias.
     """
-    key = (probe.patch_rows, probe.patch_cols, probe.max_group_size)
+    # every field that shapes the probe's groups
+    key = (
+        probe.patch_rows,
+        probe.patch_cols,
+        probe.patch_step,
+        probe.search_radius,
+        probe.max_group_size,
+        probe.match_threshold,
+    )
     with _SIGMA_CALIBRATION_LOCK:  # pool workers share the cache
         if key not in _SIGMA_CALIBRATION:
             side = max(64, 2 * max(probe.patch_rows, probe.patch_cols))

@@ -187,7 +187,8 @@ def read_cube(path) -> ComplexCube:
         if l > 1 and not np.all(np.diff(wl) > 0):
             raise NonMonotoneWavelengths("wavelength table is not strictly increasing")
         data = np.empty((n, m, l), dtype=np.complex128)
-        band = np.empty((n, m), dtype="<c16")
+        # no payload backs the n x m of a header without bands
+        band = np.empty((n, m) if l else 0, dtype="<c16")
         for b in range(l):
             if f.readinto(band) != band.nbytes:
                 raise TruncatedPayload(f"file ends inside band {b}")

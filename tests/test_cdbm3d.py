@@ -1,5 +1,7 @@
 import functools
+import itertools
 import sys
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -364,6 +366,47 @@ class TestDenoiseImage:
         assert np.array_equal(a, b)
 
 
+class TestGroupChunks:
+    """The collaborative pass takes each size bucket through in chunks of
+    ``_GROUP_CHUNK`` groups; the chunk size must not change a bit."""
+
+    @staticmethod
+    def outputs(img):
+        out = [
+            np.float64(estimate_sigma(img, DenoiseConfig(match_threshold=t)))
+            for t in (None, 0.5)
+        ]
+        for variant, stages, threshold in itertools.product(Variant, Stages, (None, 0.5)):
+            cfg = DenoiseConfig(variant=variant, stages=stages, match_threshold=threshold)
+            out.append(denoise_image(img, cfg))
+        return [a.tobytes() for a in out]
+
+    def test_chunk_size_does_not_change_a_bit(self, monkeypatch):
+        rng = np.random.default_rng(18)
+        img = np.cumsum(random_field(rng, (36, 36)), axis=0) + 2.0 * random_field(rng, (36, 36))
+        inputs = [img, img.real.astype(np.complex128)]
+        default = cdbm3d._GROUP_CHUNK
+        buckets = cdbm3d._bucket_by_size(cdbm3d._collect_groups(img, DenoiseConfig()))
+        assert max(len(b) for b in buckets.values()) > default
+        results = []
+        for chunk in (1, 7, default):
+            monkeypatch.setattr(cdbm3d, "_GROUP_CHUNK", chunk)
+            monkeypatch.setattr(cdbm3d, "_SIGMA_CALIBRATION", {})
+            results.append([self.outputs(x) for x in inputs])
+        assert results[0] == results[2]
+        assert results[1] == results[2]
+
+    def test_peak_memory_does_not_grow_with_buckets(self):
+        img = random_field(np.random.default_rng(19), (64, 64))
+        tracemalloc.start()
+        try:
+            denoise_image(img, DenoiseConfig(sigma=1.0))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 40e6
+
+
 class TestEstimateSigma:
     @pytest.mark.parametrize("sigma", [0.4, 1.3])
     def test_pure_noise_level(self, sigma):
@@ -387,6 +430,15 @@ class TestEstimateSigma:
             return np.linalg.norm(d) / np.linalg.norm(np.angle(truth))
 
         assert rrmse(out) < rrmse(noisy)
+
+    def test_calibration_does_not_depend_on_call_history(self, monkeypatch):
+        img = random_field(np.random.default_rng(16), (48, 48))
+        monkeypatch.setattr(cdbm3d, "_SIGMA_CALIBRATION", {})
+        cold = estimate_sigma(img)
+        for other in (DenoiseConfig(search_radius=3), DenoiseConfig(match_threshold=0.0)):
+            monkeypatch.setattr(cdbm3d, "_SIGMA_CALIBRATION", {})
+            estimate_sigma(img, other)
+            assert estimate_sigma(img) == cold
 
     def test_calibration_filled_once_by_pool_workers(self, monkeypatch):
         rng = np.random.default_rng(15)

@@ -1,4 +1,5 @@
 import os
+import struct
 import tempfile
 import tracemalloc
 
@@ -189,6 +190,21 @@ class TestChscFiles:
             tracemalloc.stop()
         assert back.shape == (64, 64, 200)
         assert peak <= 1.25 * payload
+
+    def test_zero_band_header_allocates_no_band(self, tmp_path):
+        path = tmp_path / "no_bands.chsc"
+        write_cube(random_cube(np.random.default_rng(8), 1, 1, 0), path)
+        raw = bytearray(path.read_bytes())
+        raw[8:20] = struct.pack("<III", 1, 2**26, 0)  # a 1 GiB band, and no band
+        path.write_bytes(bytes(raw))
+        tracemalloc.start()
+        try:
+            back = read_cube(path)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert back.shape == (1, 2**26, 0)
+        assert peak < 2**20
 
     @settings(max_examples=150, deadline=None)
     @given(st.data())
