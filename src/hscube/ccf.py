@@ -20,7 +20,7 @@ import numpy as np
 
 from .cdbm3d import DenoiseConfig, denoise_image
 from .cube import ComplexCube, SpectralMatrix, reshape_to_cube, reshape_to_matrix
-from .errors import DimensionMismatch
+from .errors import DimensionMismatch, InvalidConfig
 from .parallel import run_jobs
 from .subspace import back_project, identify_subspace, project
 
@@ -34,9 +34,9 @@ class WindowSpec:
 
     def __post_init__(self):
         if self.width < 1:
-            raise ValueError("window width must be at least 1 band")
+            raise InvalidConfig("window width must be at least 1 band")
         if self.step < 1:
-            raise ValueError("window step must be at least 1 band")
+            raise InvalidConfig("window step must be at least 1 band")
 
 
 @dataclass(frozen=True)

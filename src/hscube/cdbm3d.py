@@ -27,7 +27,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .errors import DecompositionFailed, DimensionMismatch, OutOfBounds
+from .errors import DecompositionFailed, DimensionMismatch, InvalidConfig, OutOfBounds
+from .parallel import _single_threaded_blas
 
 AGG_EPS = 1e-12
 
@@ -64,19 +65,19 @@ class DenoiseConfig:
 
     def __post_init__(self):
         if self.patch_rows < 1 or self.patch_cols < 1:
-            raise ValueError("patch dimensions must be positive")
+            raise InvalidConfig("patch dimensions must be positive")
         if self.patch_step < 1:
-            raise ValueError("patch step must be positive")
+            raise InvalidConfig("patch step must be positive")
         if self.search_radius < 0:
-            raise ValueError("search radius must be nonnegative")
+            raise InvalidConfig("search radius must be nonnegative")
         if self.max_group_size < 1:
-            raise ValueError("group size cap must be at least 1")
+            raise InvalidConfig("group size cap must be at least 1")
         if self.match_threshold is not None and self.match_threshold < 0:
-            raise ValueError("match threshold must be nonnegative")
+            raise InvalidConfig("match threshold must be nonnegative")
         if self.hard_threshold_factor < 0:
-            raise ValueError("hard threshold factor must be nonnegative")
+            raise InvalidConfig("hard threshold factor must be nonnegative")
         if self.sigma is not None and self.sigma < 0:
-            raise ValueError("sigma must be nonnegative")
+            raise InvalidConfig("sigma must be nonnegative")
 
 
 @dataclass(eq=False)
@@ -121,9 +122,12 @@ def _batched_factors(t: np.ndarray) -> list[np.ndarray]:
 
 def _batched_transform(t: np.ndarray, factors, forward: bool) -> np.ndarray:
     """Contract every mode with its factor: conjugate-transposed for the
-    forward (analysis) pass, plain for the inverse (synthesis) pass."""
+    forward (analysis) pass, plain for the inverse (synthesis) pass.  A
+    factor of None is the identity, and its mode is left as it is."""
     out = t
     for mode, u in enumerate(factors, start=1):
+        if u is None:
+            continue
         mat = u.conj().swapaxes(1, 2) if forward else u
         moved = np.moveaxis(out, mode, 1)
         shape = moved.shape
@@ -318,8 +322,10 @@ def block_match(image: np.ndarray, ref_coord: tuple[int, int], cfg: DenoiseConfi
 
 
 def to_imre(tensor: np.ndarray) -> np.ndarray:
-    """Split a complex tensor into a real one with a trailing [re, im] mode."""
-    return np.stack([tensor.real, tensor.imag], axis=-1)
+    """Split a complex tensor into a real one with a trailing [re, im] mode,
+    a view of the tensor's own bytes where it is C-contiguous."""
+    tensor = np.ascontiguousarray(tensor, dtype=np.complex128)
+    return tensor.view(np.float64).reshape(tensor.shape + (2,))
 
 
 def from_imre(tensor: np.ndarray) -> np.ndarray:
@@ -374,9 +380,9 @@ def _grouped_cores(match_image: np.ndarray, images, cfg: DenoiseConfig):
     yields (rows, cols, factors, cores): the (G, K) member corners, the
     per-mode factors of the first image's groups, and the forward transform
     of each image's groups in those factors.  Under ImRe4D the tensors carry
-    a trailing [re, im] mode, whose factor stays the identity when every
-    image is real.  Every step works per group, so the chunk size does not
-    change a bit of the result.
+    a trailing [re, im] mode, whose factor is the identity (None) when
+    every image is real.  Every step works per group, so the chunk size does
+    not change a bit of the result.
     """
     views = [sliding_window_view(im, (cfg.patch_rows, cfg.patch_cols)) for im in images]
     groups = _collect_groups(match_image, cfg)
@@ -393,7 +399,7 @@ def _grouped_cores(match_image: np.ndarray, images, cfg: DenoiseConfig):
                 tensors = [to_imre(t) for t in tensors]
             factors = _batched_factors(tensors[0])
             if real_only:
-                factors[-1] = np.broadcast_to(np.eye(2), (len(part), 2, 2))
+                factors[-1] = None
             cores = [_batched_transform(t, factors, forward=True) for t in tensors]
             yield rows, cols, factors, cores
 
@@ -407,21 +413,23 @@ def _collaborative_pass(match_image: np.ndarray, images, cfg: DenoiseConfig, shr
 
     Each bucket is summed on its own, from zero and in scatter order, and
     then added to the image sums, so the result does not depend on the
-    chunk size.
+    chunk size.  OpenBLAS is held at one thread for the whole pass: its
+    small batched calls gain nothing from more.
     """
     h, w = match_image.shape
     num = np.zeros((h, w), dtype=np.complex128)
     den = np.zeros((h, w), dtype=np.float64)
-    for bucket in _grouped_cores(match_image, images, cfg):
-        bucket_num, bucket_den = np.zeros_like(num), np.zeros_like(den)
-        for rows, cols, factors, cores in bucket:
-            core, weights = shrink(*cores)
-            est = _batched_transform(core, factors, forward=False)
-            if cfg.variant is Variant.IMRE_4D:
-                est = from_imre(est)
-            _scatter(bucket_num, bucket_den, est, rows, cols, weights, w)
-        num += bucket_num
-        den += bucket_den
+    with _single_threaded_blas():
+        for bucket in _grouped_cores(match_image, images, cfg):
+            bucket_num, bucket_den = np.zeros_like(num), np.zeros_like(den)
+            for rows, cols, factors, cores in bucket:
+                core, weights = shrink(*cores)
+                est = _batched_transform(core, factors, forward=False)
+                if cfg.variant is Variant.IMRE_4D:
+                    est = from_imre(est)
+                _scatter(bucket_num, bucket_den, est, rows, cols, weights, w)
+            num += bucket_num
+            den += bucket_den
     return num / den
 
 
@@ -476,10 +484,11 @@ def _tail_mad(image: np.ndarray, probe: DenoiseConfig) -> float:
     """Uncalibrated deviation estimate from the trailing transform content
     (core coefficients whose index sits in the upper half of every mode)."""
     tail = []
-    for bucket in _grouped_cores(image, [image], probe):
-        for _, _, _, (core,) in bucket:
-            sl = tuple(slice(d // 2, None) for d in core.shape[1:])
-            tail.append(core[(slice(None),) + sl].ravel())
+    with _single_threaded_blas():  # as in _collaborative_pass
+        for bucket in _grouped_cores(image, [image], probe):
+            for _, _, _, (core,) in bucket:
+                sl = tuple(slice(d // 2, None) for d in core.shape[1:])
+                tail.append(core[(slice(None),) + sl].ravel())
     coeffs = np.concatenate(tail)
     comps = np.concatenate([coeffs.real, coeffs.imag])
     return float(np.median(np.abs(comps)) / 0.6745 * np.sqrt(2.0))

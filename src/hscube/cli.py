@@ -1,8 +1,8 @@
 """Command-line interface: synthesize, corrupt, denoise, score, and sweep.
 
 Exit codes: 0 on success, 1 on runtime or numerical failure, 2 on usage or
-schema errors (argparse errors, malformed manifests, shape mismatches,
-missing dispersion data).
+schema errors (argparse errors, out-of-range filter, window or thread
+settings, malformed manifests, shape mismatches, missing dispersion data).
 """
 
 from __future__ import annotations
@@ -19,12 +19,18 @@ from . import evaluate
 from .ccf import WindowSpec
 from .cdbm3d import DenoiseConfig, Stages, Variant
 from .cube import read_cube, write_cube
-from .errors import DimensionMismatch, DispersionRequired, HscubeError, ManifestError
+from .errors import (
+    DimensionMismatch,
+    DispersionRequired,
+    HscubeError,
+    InvalidConfig,
+    ManifestError,
+)
 from .evaluate import MethodDef, apply_method, make_report, parse_manifest, write_csv
 from .parallel import resolve_threads
 from .synth import DispersionModel, NoiseSpec, ObjectKind, add_noise, generate_truth
 
-USAGE_ERRORS = (ManifestError, DimensionMismatch, DispersionRequired)
+USAGE_ERRORS = (ManifestError, DimensionMismatch, DispersionRequired, InvalidConfig)
 
 _OBJECTS = {
     "two-peak": ObjectKind.TWO_PEAK,

@@ -9,6 +9,10 @@ class HscubeError(Exception):
     """Base class for all errors raised by hscube."""
 
 
+class InvalidConfig(HscubeError, ValueError):
+    """A configuration value (filter, window or thread count) is out of range."""
+
+
 class DimensionMismatch(HscubeError, ValueError):
     """Array shapes or declared dimensions are inconsistent."""
 

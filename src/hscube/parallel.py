@@ -1,13 +1,16 @@
-"""Tiny deterministic job pool.
+"""Tiny deterministic job pool and the process's BLAS thread count.
 
 Jobs are independent closures whose results are collected in submission
 order, so the assembled output never depends on the worker count.
 
-While a pool of more than one worker runs, numpy's bundled OpenBLAS is held
-at one thread: the jobs make many small ``eigh`` and matmul calls whose BLAS
-threads would only compete with the pool threads for the same cores.  The
-setting is process-global; the outermost pool restores the previous count
-when it exits.  Other BLAS builds (MKL, Accelerate) are left alone.
+numpy's bundled OpenBLAS is held at one thread while the patch filter runs,
+at any thread count, and while a pool of more than one worker runs.  The
+filter's many small ``eigh`` and matmul calls gain nothing from BLAS threads,
+which only spin, and inside a pool they would also compete with the pool
+threads for the same cores.  The setting is process-global, so other threads
+of the process see one BLAS thread meanwhile; nested and concurrent holders
+share one saved count, which the last to leave restores.  Other BLAS builds
+(MKL, Accelerate) are left alone.
 """
 
 from __future__ import annotations
@@ -18,6 +21,8 @@ import functools
 import os
 import threading
 from concurrent.futures import ThreadPoolExecutor
+
+from .errors import InvalidConfig
 
 ENV_THREADS = "HSCUBE_THREADS"
 
@@ -38,9 +43,12 @@ def resolve_threads(requested: int | None = None) -> int:
     if requested is not None:
         return max(1, int(requested))
     env = os.environ.get(ENV_THREADS, "").strip()
-    if env:
+    if not env:
+        return 1
+    try:
         return max(1, int(env))
-    return 1
+    except ValueError:
+        raise InvalidConfig(f"{ENV_THREADS} must be an integer, got {env!r}") from None
 
 
 @functools.cache

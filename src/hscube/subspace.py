@@ -45,17 +45,10 @@ def _hermitize(r: np.ndarray) -> np.ndarray:
     return 0.5 * (r + r.conj().T)
 
 
-def estimate_noise(z: SpectralMatrix):
-    """Estimate per-band noise by multiple regression on the other bands.
-
-    Returns ``(noise_estimate, noise_corr)`` where the estimate is a
-    SpectralMatrix of residual rows and ``noise_corr`` is the diagonal part
-    of their L x L sample correlation matrix.  The off-diagonal part is
-    discarded deliberately: the regression residual operator annihilates
-    any spectral direction shared by all bands, so the full residual
-    correlation underestimates noise exactly where the signal lives, while
-    its diagonal stays unbiased.
-    """
+def _regress_bands(z: SpectralMatrix):
+    """Band correlation R_y = Z Z^H / n, the residuals of each band regressed
+    on the others, and the diagonal of their correlation (see
+    ``estimate_noise``)."""
     zm = z.entries
     l, n = zm.shape
     if l < 3:
@@ -87,7 +80,21 @@ def estimate_noise(z: SpectralMatrix):
     # Least-squares prediction of band i is conj(beta_i) applied to the rows.
     residual = zm - betas.conj() @ zm
     variances = np.maximum(np.einsum("ij,ij->i", residual, residual.conj()).real / n, 0.0)
-    noise_corr = np.diag(variances).astype(np.complex128)
+    return r_y, residual, np.diag(variances).astype(np.complex128)
+
+
+def estimate_noise(z: SpectralMatrix):
+    """Estimate per-band noise by multiple regression on the other bands.
+
+    Returns ``(noise_estimate, noise_corr)`` where the estimate is a
+    SpectralMatrix of residual rows and ``noise_corr`` is the diagonal part
+    of their L x L sample correlation matrix.  The off-diagonal part is
+    discarded deliberately: the regression residual operator annihilates
+    any spectral direction shared by all bands, so the full residual
+    correlation underestimates noise exactly where the signal lives, while
+    its diagonal stays unbiased.
+    """
+    _, residual, noise_corr = _regress_bands(z)
     noise = SpectralMatrix(
         entries=residual, n_rows=z.n_rows, n_cols=z.n_cols, wavelengths=z.wavelengths
     )
@@ -97,10 +104,8 @@ def estimate_noise(z: SpectralMatrix):
 def identify_subspace(z: SpectralMatrix) -> EigenBasis:
     """Pick the eigen-subspace of the band correlation matrix that minimizes
     the reconstruction mean squared error under the estimated noise."""
-    _, noise_corr = estimate_noise(z)
-    zm = z.entries
-    l, n = zm.shape
-    r_y = _hermitize(zm @ zm.conj().T / n)
+    r_y, _, noise_corr = _regress_bands(z)
+    l = r_y.shape[0]
 
     eigvals, vecs = np.linalg.eigh(r_y)
     order = np.argsort(eigvals)[::-1]

@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 import hscube as hs
 from hscube.ccf import WindowSpec, ccf_denoise, ccf_sliding, sliding_plan
 from hscube.cdbm3d import DenoiseConfig, Variant
-from hscube.errors import HscubeError, TooFewBands
+from hscube.errors import HscubeError, InvalidConfig, TooFewBands
 
 
 def rank3_cube(rng, l=24, side=24):
@@ -76,9 +76,9 @@ class TestSlidingPlan:
             sliding_plan(50, WindowSpec(width=3, step=10))
 
     def test_invalid_window_spec(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(InvalidConfig):
             WindowSpec(width=0, step=3)
-        with pytest.raises(ValueError):
+        with pytest.raises(InvalidConfig):
             WindowSpec(width=5, step=0)
 
 

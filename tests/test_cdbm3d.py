@@ -27,7 +27,7 @@ from hscube.cdbm3d import (
     wiener_shrink_core,
     wiener_stage,
 )
-from hscube.errors import DimensionMismatch, OutOfBounds
+from hscube.errors import DimensionMismatch, InvalidConfig, OutOfBounds
 from hscube.parallel import run_jobs
 
 
@@ -288,6 +288,15 @@ class TestStages:
         pilot[3, 3] = np.nan
         with pytest.raises(DimensionMismatch, match="non-finite"):
             wiener_stage(img, pilot, DenoiseConfig(sigma=1.0))
+
+
+@pytest.mark.parametrize("field, value", [
+    ("patch_rows", 0), ("patch_step", 0), ("search_radius", -1), ("max_group_size", 0),
+    ("match_threshold", -0.1), ("hard_threshold_factor", -1.0), ("sigma", -0.5),
+])
+def test_out_of_range_config_is_invalid(field, value):
+    with pytest.raises(InvalidConfig):
+        DenoiseConfig(**{field: value})
 
 
 class TestDenoiseImage:

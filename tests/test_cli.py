@@ -121,6 +121,27 @@ class TestDenoise:
         )
         assert res.returncode == 0, res.stderr
 
+    @pytest.mark.parametrize("flags", [
+        ("--method", "ccf", "--patch", 0, 8),
+        ("--method", "ccf-sliding", "--window", 0),
+    ])
+    def test_out_of_range_setting_exit_2(self, synth_dir, tmp_path, flags):
+        res = run_cli("denoise", *flags, synth_dir / "noisy.chsc", tmp_path / "z.chsc")
+        assert res.returncode == 2, res.stderr
+        assert res.stderr.startswith("error: ")
+        assert not (tmp_path / "z.chsc").exists()
+
+    def test_non_integer_thread_variable_exit_2(self, synth_dir, tmp_path):
+        import os
+
+        env = dict(os.environ, HSCUBE_THREADS="abc")
+        res = run_cli(
+            "denoise", "--method", "ccf", synth_dir / "noisy.chsc", tmp_path / "t.chsc", env=env
+        )
+        assert res.returncode == 2, res.stderr
+        assert "HSCUBE_THREADS" in res.stderr
+        assert not (tmp_path / "t.chsc").exists()
+
     def test_partial_outputs_removed_on_failure(self, tmp_path):
         bad = tmp_path / "bad.chsc"
         bad.write_bytes(b"CHSC" + bytes(20))

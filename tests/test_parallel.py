@@ -1,10 +1,13 @@
 import threading
 import time
 
+import numpy as np
 import pytest
 
-from hscube import parallel
-from hscube.parallel import run_jobs
+from hscube import cdbm3d, parallel
+from hscube.cdbm3d import DenoiseConfig, denoise_image, estimate_sigma
+from hscube.errors import InvalidConfig
+from hscube.parallel import resolve_threads, run_jobs
 
 TIMEOUT = 30.0
 
@@ -103,6 +106,78 @@ class TestBlasLimiter:
         assert results == {"a": [1, 1], "b": [1, 1]}
         assert get() == 2
         assert sets == [1, 2]
+
+
+SMALL = DenoiseConfig(patch_rows=4, patch_cols=4, patch_step=2, search_radius=4,
+                      max_group_size=4, sigma=0.5)
+
+
+def small_image():
+    rng = np.random.default_rng(5)
+    return rng.normal(size=(16, 16)) + 1j * rng.normal(size=(16, 16))
+
+
+@pytest.fixture
+def seen(monkeypatch, blas):
+    """BLAS thread counts seen by the matcher, the factors and both
+    shrinkers; the wrappers keep the names the benchmark hooks."""
+    get, _ = blas
+    counts = []
+    for name in ("_collect_groups", "_batched_factors", "hard_threshold_core",
+                 "wiener_shrink_core"):
+        original = getattr(cdbm3d, name)
+
+        def recording(*args, _original=original, **kwargs):
+            counts.append(get())
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(cdbm3d, name, recording)
+    return counts
+
+
+class TestFilterHoldsBlas:
+    def test_denoise_outside_a_pool(self, blas, seen):
+        get, sets = blas
+        denoise_image(small_image(), SMALL)
+        assert seen and set(seen) == {1}
+        assert get() == 2
+        assert sets == [1, 2] * 2  # threshold pass, Wiener pass
+
+    def test_sigma_probe_outside_a_pool(self, blas, seen, monkeypatch):
+        get, sets = blas
+        monkeypatch.setattr(cdbm3d, "_SIGMA_CALIBRATION", {})
+        assert estimate_sigma(small_image(), SMALL) > 0
+        assert seen and set(seen) == {1}
+        assert get() == 2
+        assert sets == [1, 2] * 2  # the image's probe, then the calibration's
+
+    def test_count_restored_when_the_pass_raises(self, blas, monkeypatch):
+        get, sets = blas
+
+        def boom(core, threshold):
+            raise RuntimeError("shrink failed")
+
+        monkeypatch.setattr(cdbm3d, "hard_threshold_core", boom)
+        with pytest.raises(RuntimeError, match="shrink failed"):
+            denoise_image(small_image(), SMALL)
+        assert get() == 2
+        assert sets == [1, 2]
+
+    def test_pool_jobs_set_nothing_extra(self, blas, seen):
+        get, sets = blas
+        image = small_image()
+        out = run_jobs([lambda: denoise_image(image, SMALL)] * 2, threads=2)
+        assert np.array_equal(out[0], out[1])
+        assert seen and set(seen) == {1}
+        assert get() == 2
+        assert sets == [1, 2]  # the pool's own hold only
+
+
+def test_non_integer_thread_variable_is_invalid(monkeypatch):
+    monkeypatch.setenv("HSCUBE_THREADS", "abc")
+    with pytest.raises(InvalidConfig, match="HSCUBE_THREADS"):
+        resolve_threads()
+    assert resolve_threads(3) == 3  # an explicit request wins
 
 
 def test_no_op_limiter_keeps_submission_order(monkeypatch):
