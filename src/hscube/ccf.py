@@ -109,8 +109,9 @@ def ccf_denoise(
         return lambda: denoise_image(images[i], replace(cfg, sigma=float(sigmas[i])))
 
     filtered = run_jobs([make_job(i) for i in range(basis.p)], threads)
-    zeig_hat = SpectralMatrix(
-        entries=np.stack(filtered).reshape(basis.p, cube.n_rows * cube.n_cols),
+    n_px = cube.n_rows * cube.n_cols
+    zeig_hat = SpectralMatrix(  # an all-zero cube has p = 0 and nothing to stack
+        entries=np.array(filtered, dtype=np.complex128).reshape(basis.p, n_px),
         n_rows=cube.n_rows,
         n_cols=cube.n_cols,
     )

@@ -15,7 +15,11 @@ The heavy lifting is batched: groups that matched the same number of
 patches are factored, shrunk, inverted and aggregated together through
 stacked linear algebra, ``_GROUP_CHUNK`` groups at a time, so the working
 set stays in cache and the filter's memory does not grow with the image
-beyond its image-sized accumulators and match lists.
+beyond its image-sized accumulators and match lists.  Batched groups stay
+in gather order (K, rows, cols, then [re, im] under ImRe4D), and every mode
+product and mode Gram is one stacked GEMM on the last axis of a contiguous
+stack, with no unfolding copy (``_contract_last``).  Outputs match the
+earlier unfolding implementation to rounding, not bit for bit.
 """
 
 from __future__ import annotations
@@ -105,19 +109,35 @@ class HosvdFactors:
 # batched tensor algebra
 
 
-def _batched_factors(t: np.ndarray) -> list[np.ndarray]:
-    """Orthonormal factor per mode (descending singular value order) for a
-    stack of tensors shaped (G, d1, ..., dm)."""
-    factors = []
-    for mode in range(1, t.ndim):
-        a = np.moveaxis(t, mode, 1).reshape(t.shape[0], t.shape[mode], -1)
-        gram = a @ a.conj().swapaxes(1, 2)
-        try:
-            _, vecs = np.linalg.eigh(gram)
-        except np.linalg.LinAlgError as exc:  # pragma: no cover - rare
-            raise DecompositionFailed(f"eigendecomposition failed on mode {mode}") from exc
-        factors.append(np.ascontiguousarray(vecs[:, :, ::-1]))
-    return factors
+def _contract_last(x: np.ndarray, mat) -> np.ndarray:
+    """Contract the last axis of the contiguous stack ``x`` (G, d1, ..., dm)
+    with ``mat`` (G, e, dm) and move it to the front: one stacked GEMM on a
+    transposed view, no copy.  A ``mat`` of None only moves the axis."""
+    a = x.reshape(x.shape[0], -1, x.shape[-1]).swapaxes(1, 2)
+    out = np.ascontiguousarray(a) if mat is None else mat @ a
+    return out.reshape(out.shape[:2] + x.shape[1:-1])
+
+
+def _batched_factors(t: np.ndarray, identity_last: bool = False):
+    """(factors, core) of a stack of tensors shaped (G, d1, ..., dm): an
+    orthonormal factor per mode (descending singular value order; None for
+    the identity kept on the last mode under ``identity_last``) and the core.
+    Modes are contracted last to first as their factors are found; those
+    already applied are orthonormal, so each Gram is the mode's own."""
+    factors = [None] * (t.ndim - 1)
+    x = t
+    for mode in range(t.ndim - 1, 0, -1):
+        mat = None
+        if not (identity_last and mode == t.ndim - 1):
+            a = x.reshape(x.shape[0], -1, x.shape[-1])
+            try:
+                _, vecs = np.linalg.eigh(a.swapaxes(1, 2) @ a.conj())
+            except np.linalg.LinAlgError as exc:  # pragma: no cover - rare
+                raise DecompositionFailed(f"eigendecomposition failed on mode {mode}") from exc
+            factors[mode - 1] = u = np.ascontiguousarray(vecs[:, :, ::-1])
+            mat = u.conj().swapaxes(1, 2)
+        x = _contract_last(x, mat)
+    return factors, x
 
 
 def _batched_transform(t: np.ndarray, factors, forward: bool) -> np.ndarray:
@@ -125,14 +145,10 @@ def _batched_transform(t: np.ndarray, factors, forward: bool) -> np.ndarray:
     forward (analysis) pass, plain for the inverse (synthesis) pass.  A
     factor of None is the identity, and its mode is left as it is."""
     out = t
-    for mode, u in enumerate(factors, start=1):
-        if u is None:
-            continue
-        mat = u.conj().swapaxes(1, 2) if forward else u
-        moved = np.moveaxis(out, mode, 1)
-        shape = moved.shape
-        res = mat @ moved.reshape(shape[0], shape[1], -1)
-        out = np.moveaxis(res.reshape(shape), 1, mode)
+    for u in reversed(factors):
+        if u is not None and forward:
+            u = u.conj().swapaxes(1, 2)
+        out = _contract_last(out, u)
     return out
 
 
@@ -141,10 +157,8 @@ def hosvd(tensor) -> HosvdFactors:
     t = tensor.tensor if isinstance(tensor, PatchGroup) else np.asarray(tensor)
     if t.size == 0:
         raise DimensionMismatch("cannot factor an empty tensor")
-    batched = t[None]
-    factors = _batched_factors(batched)
-    core = _batched_transform(batched, factors, forward=True)[0]
-    return HosvdFactors(factors=tuple(f[0] for f in factors), core=core)
+    factors, core = _batched_factors(t[None])
+    return HosvdFactors(factors=tuple(f[0] for f in factors), core=core[0])
 
 
 def inverse_hosvd(f: HosvdFactors) -> np.ndarray:
@@ -329,7 +343,8 @@ def to_imre(tensor: np.ndarray) -> np.ndarray:
 
 
 def from_imre(tensor: np.ndarray) -> np.ndarray:
-    return tensor[..., 0] + 1j * tensor[..., 1]
+    """Inverse of ``to_imre``, a view where the tensor is C-contiguous."""
+    return np.ascontiguousarray(tensor, dtype=np.float64).view(np.complex128)[..., 0]
 
 
 def _bucket_by_size(groups):
@@ -342,8 +357,7 @@ def _bucket_by_size(groups):
 def _scatter(num, den, est, rows, cols, weights, width):
     """Add the weighted patch estimates into the flat image sums ``num`` and
     ``den``; ``np.add.at`` sums each pixel in index order."""
-    pr, pc = est.shape[1], est.shape[2]
-    vals = np.moveaxis(est, 3, 1)  # (G, K, pr, pc)
+    pr, pc = est.shape[2], est.shape[3]
     base = rows * width + cols
     idx = (
         base[:, :, None, None]
@@ -351,8 +365,8 @@ def _scatter(num, den, est, rows, cols, weights, width):
         + np.arange(pc)[None, None, None, :]
     ).ravel()
     wv = weights[:, None, None, None]
-    np.add.at(num.reshape(-1), idx, (wv * vals).ravel())
-    np.add.at(den.reshape(-1), idx, np.broadcast_to(wv, vals.shape).ravel())
+    np.add.at(num.reshape(-1), idx, (wv * est).ravel())
+    np.add.at(den.reshape(-1), idx, np.broadcast_to(wv, est.shape).ravel())
 
 
 def _check_image(image: np.ndarray, cfg: DenoiseConfig) -> np.ndarray:
@@ -379,10 +393,11 @@ def _grouped_cores(match_image: np.ndarray, images, cfg: DenoiseConfig):
     transforms the bucket ``_GROUP_CHUNK`` groups at a time.  Each step
     yields (rows, cols, factors, cores): the (G, K) member corners, the
     per-mode factors of the first image's groups, and the forward transform
-    of each image's groups in those factors.  Under ImRe4D the tensors carry
-    a trailing [re, im] mode, whose factor is the identity (None) when
-    every image is real.  Every step works per group, so the chunk size does
-    not change a bit of the result.
+    of each image's groups in those factors.  Groups keep their gather order
+    (G, K, patch_rows, patch_cols); under ImRe4D they carry a trailing
+    [re, im] mode, whose factor is the identity (None) when every image is
+    real.  Every step works per group, so the chunk size does not change a
+    bit of the result.
     """
     views = [sliding_window_view(im, (cfg.patch_rows, cfg.patch_cols)) for im in images]
     groups = _collect_groups(match_image, cfg)
@@ -394,13 +409,11 @@ def _grouped_cores(match_image: np.ndarray, images, cfg: DenoiseConfig):
             part = indices[start : start + _GROUP_CHUNK]
             rows = np.stack([groups[i][0] for i in part])
             cols = np.stack([groups[i][1] for i in part])
-            tensors = [np.ascontiguousarray(np.moveaxis(v[rows, cols], 1, 3)) for v in views]
+            tensors = [v[rows, cols] for v in views]
             if imre:
                 tensors = [to_imre(t) for t in tensors]
-            factors = _batched_factors(tensors[0])
-            if real_only:
-                factors[-1] = None
-            cores = [_batched_transform(t, factors, forward=True) for t in tensors]
+            factors, core = _batched_factors(tensors[0], identity_last=real_only)
+            cores = [core] + [_batched_transform(t, factors, forward=True) for t in tensors[1:]]
             yield rows, cols, factors, cores
 
     for indices in _bucket_by_size(groups).values():
@@ -482,7 +495,10 @@ def denoise_image(image: np.ndarray, cfg: DenoiseConfig) -> np.ndarray:
 
 def _tail_mad(image: np.ndarray, probe: DenoiseConfig) -> float:
     """Uncalibrated deviation estimate from the trailing transform content
-    (core coefficients whose index sits in the upper half of every mode)."""
+    (core coefficients whose index sits in the upper half of every mode).
+    A real image has real coefficients, whose magnitudes alone give the
+    deviation of real noise; a complex image's real and imaginary parts are
+    pooled into the total complex deviation."""
     tail = []
     with _single_threaded_blas():  # as in _collaborative_pass
         for bucket in _grouped_cores(image, [image], probe):
@@ -490,6 +506,8 @@ def _tail_mad(image: np.ndarray, probe: DenoiseConfig) -> float:
                 sl = tuple(slice(d // 2, None) for d in core.shape[1:])
                 tail.append(core[(slice(None),) + sl].ravel())
     coeffs = np.concatenate(tail)
+    if not np.any(image.imag):
+        return float(np.median(np.abs(coeffs)) / 0.6745)
     comps = np.concatenate([coeffs.real, coeffs.imag])
     return float(np.median(np.abs(comps)) / 0.6745 * np.sqrt(2.0))
 
@@ -498,15 +516,17 @@ _SIGMA_CALIBRATION: dict[tuple, float] = {}
 _SIGMA_CALIBRATION_LOCK = threading.Lock()
 
 
-def _sigma_calibration(probe: DenoiseConfig) -> float:
-    """Expected raw tail estimate on unit noise for this tensor geometry.
+def _sigma_calibration(probe: DenoiseConfig, real: bool) -> float:
+    """Expected raw tail estimate on unit noise, real or complex, for this
+    tensor geometry.
 
     The data-adaptive factors soak up part of the noise energy, so the raw
     tail statistic underestimates sigma by a geometry-dependent factor;
     dividing by this seeded unit-noise probe removes the bias.
     """
-    # every field that shapes the probe's groups
+    # every field that shapes the probe's groups, and the kind of noise
     key = (
+        real,
         probe.patch_rows,
         probe.patch_cols,
         probe.patch_step,
@@ -518,7 +538,9 @@ def _sigma_calibration(probe: DenoiseConfig) -> float:
         if key not in _SIGMA_CALIBRATION:
             side = max(64, 2 * max(probe.patch_rows, probe.patch_cols))
             rng = np.random.Generator(np.random.Philox(20260808))
-            unit = (rng.normal(size=(side, side)) + 1j * rng.normal(size=(side, side))) / np.sqrt(2)
+            unit = rng.normal(size=(side, side)).astype(np.complex128)
+            if not real:
+                unit = (unit + 1j * rng.normal(size=(side, side))) / np.sqrt(2)
             _SIGMA_CALIBRATION[key] = _tail_mad(unit, probe)
         return _SIGMA_CALIBRATION[key]
 
@@ -529,8 +551,10 @@ def estimate_sigma(image: np.ndarray, cfg: DenoiseConfig | None = None) -> float
     Groups on a coarse grid are factored and the core coefficients whose
     indices fall in the upper half of every mode, which carry almost no
     signal, feed a median-absolute-deviation estimate; the value is
-    calibrated against a unit-noise probe and returned as the total complex
-    standard deviation.  A constant image returns exactly 0.0.
+    calibrated against a unit-noise probe and returned as the total standard
+    deviation of the noise: complex noise for a complex image, real noise
+    for an image without imaginary part.  A constant image returns exactly
+    0.0.
     """
     base = cfg or DenoiseConfig()
     probe = replace(
@@ -543,4 +567,4 @@ def estimate_sigma(image: np.ndarray, cfg: DenoiseConfig | None = None) -> float
     image = _check_image(image, probe)
     if np.all(image == image.flat[0]):
         return 0.0
-    return _tail_mad(image, probe) / _sigma_calibration(probe)
+    return _tail_mad(image, probe) / _sigma_calibration(probe, not np.any(image.imag))

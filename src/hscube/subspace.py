@@ -16,7 +16,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cube import SpectralMatrix
-from .errors import DimensionMismatch, SingularRegression, TooFewBands, TooFewPixels
+from .errors import (
+    DecompositionFailed,
+    DimensionMismatch,
+    SingularRegression,
+    TooFewBands,
+    TooFewPixels,
+)
 
 # Relative ridge applied to the regression normal equations and, following
 # common practice for this estimator, to the noise correlation inside the
@@ -57,6 +63,8 @@ def _regress_bands(z: SpectralMatrix):
         raise TooFewPixels(f"need more pixels than bands, got {n} <= {l}")
 
     r_y = _hermitize(zm @ zm.conj().T / n)
+    if not np.any(zm):  # no signal and no noise: nothing to regress
+        return r_y, np.zeros_like(zm), np.zeros((l, l), dtype=np.complex128)
     ridge = RIDGE_SCALE * np.trace(r_y).real / l
 
     r_inv = None
@@ -103,11 +111,15 @@ def estimate_noise(z: SpectralMatrix):
 
 def identify_subspace(z: SpectralMatrix) -> EigenBasis:
     """Pick the eigen-subspace of the band correlation matrix that minimizes
-    the reconstruction mean squared error under the estimated noise."""
+    the reconstruction mean squared error under the estimated noise.  An
+    all-zero matrix holds no signal, and its subspace is empty (p = 0)."""
     r_y, _, noise_corr = _regress_bands(z)
     l = r_y.shape[0]
 
-    eigvals, vecs = np.linalg.eigh(r_y)
+    try:
+        eigvals, vecs = np.linalg.eigh(r_y)
+    except np.linalg.LinAlgError as exc:
+        raise DecompositionFailed("band correlation eigendecomposition failed") from exc
     order = np.argsort(eigvals)[::-1]
     eigvals = eigvals[order]
     vecs = vecs[:, order]
@@ -122,7 +134,7 @@ def identify_subspace(z: SpectralMatrix) -> EigenBasis:
     mse_curve = total_power + np.cumsum(delta[rank])
 
     selected = rank[delta[rank] < 0.0]
-    if selected.size == 0:
+    if selected.size == 0 and total_power > 0.0:  # all-zero data keeps nothing
         selected = rank[:1]
     p = int(selected.size)
 

@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 import hscube as hs
 from hscube.ccf import WindowSpec, ccf_denoise, ccf_sliding, sliding_plan
 from hscube.cdbm3d import DenoiseConfig, Variant
-from hscube.errors import HscubeError, InvalidConfig, TooFewBands
+from hscube.errors import DecompositionFailed, HscubeError, InvalidConfig, TooFewBands
 
 
 def rank3_cube(rng, l=24, side=24):
@@ -107,6 +107,21 @@ class TestCcfDenoise:
         )
         with pytest.raises(TooFewBands):
             ccf_denoise(cube, DenoiseConfig())
+
+    def test_huge_cube_fails_typed(self):
+        cube = rank3_cube(np.random.default_rng(6), l=12, side=16)
+        huge = hs.ComplexCube(wavelengths=cube.wavelengths, data=cube.data * 1e200)
+        with np.errstate(all="ignore"), pytest.raises(DecompositionFailed):
+            ccf_denoise(huge, DenoiseConfig())
+
+    def test_zero_cube_returns_zeros(self):
+        cube = hs.ComplexCube(
+            wavelengths=np.linspace(400, 700, 12), data=np.zeros((16, 16, 12), complex)
+        )
+        diags = []
+        out = ccf_denoise(cube, DenoiseConfig(), diagnostics=diags)
+        assert out.shape == cube.shape and not np.any(out.data)
+        assert diags[0]["p"] == 0 and diags[0]["sigma_eigen"] == []
 
     def test_diagnostics_recorded(self, small_noisy_pair):
         _, noisy = small_noisy_pair

@@ -213,6 +213,144 @@ class TestHosvd:
         f = hosvd(group)
         assert f.core.shape == group.tensor.shape
 
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_degenerate_groups_round_trip(self, data):
+        # K = 1, duplicated members, rank-one and zero tensors have
+        # rank-deficient mode Grams, where each factor is only fixed up to a
+        # rotation of the Gram's null space
+        pr, pc = data.draw(st.integers(1, 8)), data.draw(st.integers(1, 8))
+        k = data.draw(st.integers(1, 33))
+        kind = data.draw(st.sampled_from(["random", "rank-one", "duplicated", "zero"]))
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**31 - 1)))
+        if kind == "random":
+            g = random_field(rng, (pr, pc, k))
+        elif kind == "rank-one":
+            g = np.einsum("i,j,k->ijk", *(random_field(rng, d) for d in (pr, pc, k)))
+        elif kind == "duplicated":
+            distinct = random_field(rng, (pr, pc, data.draw(st.integers(1, 3))))
+            g = distinct[:, :, rng.integers(0, distinct.shape[2], k)]
+        else:
+            g = np.zeros((pr, pc, k), complex)
+        if data.draw(st.booleans()):
+            g = to_imre(g)
+        norm = np.linalg.norm(g)
+        f = hosvd(g)
+        rec = inverse_hosvd(f)
+        assert np.all(np.isfinite(f.core)) and np.all(np.isfinite(rec))
+        assert f.core.shape == g.shape
+        for u in f.factors:
+            assert np.all(np.isfinite(u))
+            assert np.max(np.abs(u.conj().T @ u - np.eye(u.shape[0]))) <= 1e-12
+        assert abs(np.linalg.norm(f.core) - norm) <= 1e-12 * norm
+        if kind == "zero":
+            assert not np.any(rec)
+        else:
+            assert np.linalg.norm(rec - g) <= 1e-12 * norm
+
+
+def unfolding_factors(t, identity_last=False):
+    """The unfolding HOSVD the copy-free path replaced, kept as its oracle:
+    every mode's Gram and product come from a copy of the stack with that
+    mode moved next to the group axis."""
+    factors = []
+    for mode in range(1, t.ndim):
+        a = np.moveaxis(t, mode, 1).reshape(t.shape[0], t.shape[mode], -1)
+        _, vecs = np.linalg.eigh(a @ a.conj().swapaxes(1, 2))
+        factors.append(np.ascontiguousarray(vecs[:, :, ::-1]))
+    if identity_last:
+        factors[-1] = None
+    return factors, unfolding_transform(t, factors, forward=True)
+
+
+def unfolding_transform(t, factors, forward):
+    out = t
+    for mode, u in enumerate(factors, start=1):
+        if u is None:
+            continue
+        mat = u.conj().swapaxes(1, 2) if forward else u
+        moved = np.moveaxis(out, mode, 1)
+        res = mat @ moved.reshape(moved.shape[0], moved.shape[1], -1)
+        out = np.moveaxis(res.reshape(moved.shape), 1, mode)
+    return out
+
+
+@pytest.fixture(scope="module")
+def compound_band():
+    model = hs.bk7()
+    spec = hs.compound_spec(64, 64, model, 400.0)
+    truth = hs.generate_truth(spec, model, (64, 64), np.array([400.0]))
+    return hs.add_noise(truth, hs.NoiseSpec(sigma=1.3, seed=7)).band(0)
+
+
+class TestCopyFreeHosvd:
+    """The copy-free HOSVD against the unfolding one it replaced.
+
+    Both are exact HOSVDs, so they agree to rounding wherever the filter's
+    decisions are well separated.  Where the filter faces a tie they may
+    part: a group's membership flips between patches at (nearly) equal
+    distance, and a factor turns freely within a degenerate eigenspace.
+    Sparse and constant images, and any run with ``match_threshold`` set
+    (the Wiener stage then matches on a pilot that moved by rounding, and
+    the noise probe's threshold-sized groups leave a tail of rounding
+    residue), are full of such ties, so there both paths are only required
+    to give finite output.
+    """
+
+    @staticmethod
+    def run(img, cfg, monkeypatch, oracle):
+        with monkeypatch.context() as m:
+            m.setattr(cdbm3d, "_SIGMA_CALIBRATION", {})
+            if oracle:
+                m.setattr(cdbm3d, "_batched_factors", unfolding_factors)
+                m.setattr(cdbm3d, "_batched_transform", unfolding_transform)
+            return denoise_image(img, cfg)
+
+    @pytest.mark.parametrize("k", [1, 2, 7, 32])
+    @pytest.mark.parametrize("imre", [False, True])
+    def test_core_matches_unfolding(self, k, imre):
+        rng = np.random.default_rng(k)
+        t = random_field(rng, (5, k, 8, 8))
+        if imre:
+            t = to_imre(t)
+        factors, core = cdbm3d._batched_factors(t)
+        _, expected = unfolding_factors(t)
+        norms = np.linalg.norm(t.reshape(5, -1), axis=1)
+        gap = np.abs(np.abs(core) - np.abs(expected)).reshape(5, -1).max(axis=1)
+        assert np.all(gap <= 1e-10 * norms)
+        # the core that comes out of the factor loop is the forward transform
+        assert np.array_equal(core, cdbm3d._batched_transform(t, factors, forward=True))
+        rec = cdbm3d._batched_transform(core, factors, forward=False)
+        assert np.linalg.norm(rec - t) <= 1e-12 * np.linalg.norm(t)
+
+    @pytest.mark.parametrize("sigma", [None, 0.8])
+    @pytest.mark.parametrize("stages", list(Stages))
+    @pytest.mark.parametrize("variant", list(Variant))
+    @pytest.mark.parametrize("source", ["compound", "field"])
+    def test_denoise_matches_unfolding(self, source, variant, stages, sigma, monkeypatch, request):
+        if source == "compound":
+            img = request.getfixturevalue("compound_band")
+        else:
+            img = random_field(np.random.default_rng(20), (40, 36))
+        cfg = DenoiseConfig(variant=variant, stages=stages, sigma=sigma)
+        out = self.run(img, cfg, monkeypatch, oracle=False)
+        expected = self.run(img, cfg, monkeypatch, oracle=True)
+        assert np.max(np.abs(out - expected)) <= 1e-10 * np.max(np.abs(expected))
+
+    @pytest.mark.parametrize("case", ["sparse", "constant", "match-threshold"])
+    def test_tie_prone_inputs_stay_finite(self, case, monkeypatch):
+        rng = np.random.default_rng(21)
+        cfg = DenoiseConfig(sigma=0.5)
+        if case == "sparse":
+            img = np.where(rng.random((24, 24)) < 0.05, 1.0 + 0.5j, 0.0)
+        elif case == "constant":
+            img = np.full((24, 24), 0.3 - 0.1j)
+        else:
+            img = np.cumsum(random_field(rng, (40, 36)), axis=1) + random_field(rng, (40, 36))
+            cfg = DenoiseConfig(match_threshold=0.5)
+        for oracle in (False, True):
+            assert np.all(np.isfinite(self.run(img, cfg, monkeypatch, oracle)))
+
 
 class TestShrinkers:
     def test_hard_threshold_keeps_largest(self):
@@ -425,6 +563,19 @@ class TestEstimateSigma:
         )
         est = estimate_sigma(img)
         assert est == pytest.approx(sigma, rel=0.15)
+
+    def test_real_noise_level(self):
+        # a real image's coefficients have no imaginary part to pool with
+        img = np.random.default_rng(1).normal(size=(64, 64))
+        assert estimate_sigma(img) == pytest.approx(1.0, rel=0.1)
+
+    def test_real_image_denoised_with_estimated_sigma(self):
+        y, x = np.mgrid[0:64, 0:64]
+        clean = np.sin(2 * np.pi * x / 16) + np.cos(2 * np.pi * y / 23)
+        noisy = clean + 0.5 * np.random.default_rng(3).normal(size=clean.shape)
+        out = denoise_image(noisy, DenoiseConfig())
+        rmse = lambda est: np.sqrt(np.mean(np.abs(est - clean) ** 2))
+        assert rmse(out) <= 0.5 * rmse(noisy)
 
     @pytest.mark.parametrize("value", [2 + 1j, 5.0, 0.0])
     def test_constant_image_is_noise_free(self, value):
