@@ -532,7 +532,6 @@ def _sigma_calibration(probe: DenoiseConfig, real: bool) -> float:
         probe.patch_step,
         probe.search_radius,
         probe.max_group_size,
-        probe.match_threshold,
     )
     with _SIGMA_CALIBRATION_LOCK:  # pool workers share the cache
         if key not in _SIGMA_CALIBRATION:
@@ -554,13 +553,15 @@ def estimate_sigma(image: np.ndarray, cfg: DenoiseConfig | None = None) -> float
     calibrated against a unit-noise probe and returned as the total standard
     deviation of the noise: complex noise for a complex image, real noise
     for an image without imaginary part.  A constant image returns exactly
-    0.0.
+    0.0.  ``cfg.match_threshold`` is ignored: a threshold can leave single
+    patches as groups, whose tail cores hold only rounding residue.
     """
     base = cfg or DenoiseConfig()
     probe = replace(
         base,
         patch_step=max(base.patch_rows, base.patch_cols),
         max_group_size=min(base.max_group_size, 8),
+        match_threshold=None,
         sigma=0.0,
         variant=Variant.COMPLEX_3D,  # the probe works on complex tensors
     )

@@ -26,17 +26,19 @@ from .errors import (
     InvalidConfig,
     ManifestError,
 )
-from .evaluate import MethodDef, apply_method, make_report, parse_manifest, write_csv
+from .evaluate import (
+    METHOD_NAMES,
+    MethodDef,
+    ObjectDef,
+    apply_method,
+    make_report,
+    parse_manifest,
+    write_csv,
+)
 from .parallel import resolve_threads
 from .synth import DispersionModel, NoiseSpec, ObjectKind, add_noise, generate_truth
 
 USAGE_ERRORS = (ManifestError, DimensionMismatch, DispersionRequired, InvalidConfig)
-
-_OBJECTS = {
-    "two-peak": ObjectKind.TWO_PEAK,
-    "compound": ObjectKind.COMPOUND,
-    "wrapped": ObjectKind.WRAPPED_PEAK,
-}
 
 
 def _add_dispersion_flag(parser):
@@ -61,24 +63,24 @@ def _model_from(args) -> DispersionModel:
 
 
 def _add_config_flags(parser):
-    parser.add_argument("--patch", nargs=2, type=int, default=[8, 8], metavar=("R", "C"),
+    d = DenoiseConfig()
+    parser.add_argument("--patch", nargs=2, type=int, default=[d.patch_rows, d.patch_cols],
+                        metavar=("R", "C"),
                         help="patch size in pixels (DenoiseConfig.patch_rows/patch_cols)")
-    parser.add_argument("--patch-step", type=int, default=3,
+    parser.add_argument("--patch-step", type=int, default=d.patch_step,
                         help="reference-patch grid step (DenoiseConfig.patch_step)")
-    parser.add_argument("--search-radius", type=int, default=19,
+    parser.add_argument("--search-radius", type=int, default=d.search_radius,
                         help="half-size of the block-matching window (DenoiseConfig.search_radius)")
-    parser.add_argument("--group-size", type=int, default=32,
+    parser.add_argument("--group-size", type=int, default=d.max_group_size,
                         help="maximum matched patches per group (DenoiseConfig.max_group_size)")
-    parser.add_argument("--match-threshold", type=float, default=None,
+    parser.add_argument("--match-threshold", type=float, default=d.match_threshold,
                         help="per-pixel squared distance cutoff for matches "
                         "(DenoiseConfig.match_threshold); unset keeps the best K")
-    parser.add_argument("--hard-threshold", type=float, default=2.7,
+    parser.add_argument("--hard-threshold", type=float, default=d.hard_threshold_factor,
                         help="hard threshold in units of sigma (DenoiseConfig.hard_threshold_factor)")
-    parser.add_argument("--variant", choices=[v.value for v in Variant],
-                        default=Variant.IMRE_4D.value,
+    parser.add_argument("--variant", choices=[v.value for v in Variant], default=d.variant.value,
                         help="group tensor layout (DenoiseConfig.variant)")
-    parser.add_argument("--stages", choices=[s.value for s in Stages],
-                        default=Stages.THRESHOLD_PLUS_WIENER.value,
+    parser.add_argument("--stages", choices=[s.value for s in Stages], default=d.stages.value,
                         help="filtering stages to run (DenoiseConfig.stages)")
 
 
@@ -105,7 +107,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_synth = sub.add_parser("synth", help="generate a phase-object truth cube and a noisy copy")
-    p_synth.add_argument("--object", required=True, choices=sorted(_OBJECTS))
+    p_synth.add_argument("--object", required=True, choices=sorted(k.value for k in ObjectKind))
     p_synth.add_argument("--size", nargs=3, type=int, required=True, metavar=("N", "M", "L"),
                          help="rows, columns, bands")
     p_synth.add_argument("--lambda", dest="lambda_nm", nargs=2, type=float,
@@ -114,9 +116,10 @@ def _build_parser() -> argparse.ArgumentParser:
     p_synth.add_argument("--sigma", type=float, default=0.0,
                          help="total std of the complex noise (NoiseSpec.sigma)")
     p_synth.add_argument("--seed", type=int, default=0, help="noise seed (NoiseSpec.seed)")
-    p_synth.add_argument("--target-phase", type=float, default=2.8,
+    p_synth.add_argument("--target-phase", type=float, default=ObjectDef.target_phase,
                          help="peak phase at the shortest wavelength for interferometric objects")
-    p_synth.add_argument("--max-phase-400", dest="max_phase", type=float, default=28.9,
+    p_synth.add_argument("--max-phase-400", dest="max_phase", type=float,
+                         default=ObjectDef.max_phase,
                          help="peak phase at the shortest wavelength for the wrapped object")
     _add_dispersion_flag(p_synth)
     p_synth.add_argument("--out", default="truth.chsc", help="truth cube path")
@@ -125,15 +128,16 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_den = sub.add_parser("denoise", help="denoise a cube file")
     p_den.add_argument("--method", required=True,
-                       choices=["ccf", "ccf-sliding", "cdbm3d-slice", "separate", "average"])
-    p_den.add_argument("--window", type=int, default=70,
+                       choices=[name for name in METHOD_NAMES if name != "noop"])
+    p_den.add_argument("--window", type=int, default=WindowSpec.width,
                        help="sliding window width in bands (WindowSpec.width)")
-    p_den.add_argument("--step", type=int, default=12,
+    p_den.add_argument("--step", type=int, default=WindowSpec.step,
                        help="sliding window center spacing (WindowSpec.step)")
     p_den.add_argument("--sigma", type=float, default=None,
                        help="noise std for per-slice methods (DenoiseConfig.sigma); "
                        "estimated per slice when omitted")
-    p_den.add_argument("--average-mode", choices=["global", "pairwise"], default="global",
+    p_den.add_argument("--average-mode", choices=["global", "pairwise"],
+                       default=MethodDef.average_mode,
                        help="thickness averaging span for --method average")
     _add_dispersion_flag(p_den)
     _add_config_flags(p_den)
@@ -169,8 +173,8 @@ def cmd_synth(args) -> int:
     model = _model_from(args)
     n, m, l = args.size
     wavelengths = np.linspace(args.lambda_nm[0], args.lambda_nm[1], l)
-    obj = evaluate.ObjectDef(
-        kind=_OBJECTS[args.object],
+    obj = ObjectDef(
+        kind=ObjectKind(args.object),
         name=args.object,
         target_phase=args.target_phase,
         max_phase=args.max_phase,

@@ -222,12 +222,6 @@ def _need(mapping, key, kind, path):
     return value
 
 
-_KIND_ALIASES = {
-    "two-peak": ObjectKind.TWO_PEAK,
-    "compound": ObjectKind.COMPOUND,
-    "wrapped": ObjectKind.WRAPPED_PEAK,
-}
-
 _CONFIG_FIELDS = {
     "patch_rows": int,
     "patch_cols": int,
@@ -286,11 +280,12 @@ def parse_manifest(doc: dict) -> Manifest:
     disp_raw = doc.get("dispersion", {})
     if not isinstance(disp_raw, dict):
         raise ManifestError("dispersion: expected an object")
+    base = DispersionModel()
     try:
         dispersion = DispersionModel(
-            a0=float(disp_raw.get("a0", 1.5046)),
-            b0_um2=float(disp_raw.get("b0_um2", 0.00420)),
-            c0_um4=float(disp_raw.get("c0_um4", 0.0)),
+            a0=float(disp_raw.get("a0", base.a0)),
+            b0_um2=float(disp_raw.get("b0_um2", base.b0_um2)),
+            c0_um4=float(disp_raw.get("c0_um4", base.c0_um4)),
         )
     except (TypeError, ValueError) as exc:
         raise ManifestError(f"dispersion: {exc}")
@@ -303,14 +298,16 @@ def parse_manifest(doc: dict) -> Manifest:
         if not isinstance(entry, dict):
             raise ManifestError(f"objects[{i}]: expected a string or object")
         kind_name = _need(entry, "kind", str, path)
-        if kind_name not in _KIND_ALIASES:
+        try:
+            kind = ObjectKind(kind_name)
+        except ValueError:
             raise ManifestError(f"{path}kind: unknown object kind {kind_name!r}")
         objects.append(
             ObjectDef(
-                kind=_KIND_ALIASES[kind_name],
+                kind=kind,
                 name=str(entry.get("name", kind_name)),
-                target_phase=float(entry.get("target_phase", 2.8)),
-                max_phase=float(entry.get("max_phase", 28.9)),
+                target_phase=float(entry.get("target_phase", ObjectDef.target_phase)),
+                max_phase=float(entry.get("max_phase", ObjectDef.max_phase)),
             )
         )
 
@@ -332,14 +329,15 @@ def parse_manifest(doc: dict) -> Manifest:
         cfg = _parse_config(entry.get("config", {}), path + "config.")
         try:
             window = WindowSpec(
-                width=int(entry.get("window", 70)), step=int(entry.get("step", 12))
+                width=int(entry.get("window", WindowSpec.width)),
+                step=int(entry.get("step", WindowSpec.step)),
             )
         except (TypeError, ValueError) as exc:
             raise ManifestError(f"{path}window: {exc}")
-        mode = entry.get("mode", "global")
+        mode = entry.get("mode", MethodDef.average_mode)
         if mode not in ("global", "pairwise"):
             raise ManifestError(f"{path}mode: expected 'global' or 'pairwise'")
-        sigma_known = entry.get("sigma_known", True)
+        sigma_known = entry.get("sigma_known", MethodDef.sigma_known)
         if not isinstance(sigma_known, bool):
             raise ManifestError(f"{path}sigma_known: expected a boolean")
         label = entry.get("label", "")

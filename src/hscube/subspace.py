@@ -1,12 +1,16 @@
 """Signal-subspace identification for complex spectral matrices.
 
-The noise in each band is estimated by regressing that band on all the
-others (complex least squares through the shared correlation matrix), and
-the subspace is the set of correlation-matrix eigenvectors whose inclusion
-lowers the reconstruction mean squared error: keeping eigenvector e_i costs
-twice the noise power sigma_i^2 = e_i^H R_n e_i it admits, dropping it costs
-the data power p_i = e_i^H R_y e_i it discards, so e_i is kept exactly when
-2*sigma_i^2 < p_i.  All transposes are conjugate transposes.
+Everything follows from the band correlation matrix R_y = Z Z^H / n, as in
+HySime.  The noise in each band is the residual of a least-squares
+regression of that band on all the others.  With P = (R_y + ridge)^-1,
+block inversion makes row i of A = P / diag(P) exactly band i's residual
+operator, so the residual variances are diag(A R_y A^H) in closed form,
+with no per-band loop and no residual matrix.  The subspace is the set of
+eigenvectors e_i of R_y whose inclusion lowers the reconstruction mean
+squared error: keeping e_i costs twice the noise power
+sigma_i^2 = sum_l |e_il|^2 var_l it admits, dropping it costs the data power
+it discards, which is its eigenvalue lambda_i, so e_i is kept exactly when
+2*sigma_i^2 < lambda_i.  All transposes are conjugate transposes.
 """
 
 from __future__ import annotations
@@ -37,8 +41,8 @@ class EigenBasis:
 
     E: np.ndarray  # (L, p) complex, orthonormal columns
     p: int
-    noise_corr: np.ndarray  # (L, L) Hermitian PSD
-    eigen_noise_var: np.ndarray  # (p,) real, e_i^H R_n e_i clamped at 0
+    noise_var: np.ndarray  # (L,) real, per-band noise variance
+    eigen_noise_var: np.ndarray  # (p,) real, sum_l |e_il|^2 noise_var_l
     mse_curve: np.ndarray  # (L,) mse of keeping the k best candidates, k = 1..L
     eigenvalues: np.ndarray  # (L,) eigenvalues of R_y, descending
 
@@ -52,9 +56,8 @@ def _hermitize(r: np.ndarray) -> np.ndarray:
 
 
 def _regress_bands(z: SpectralMatrix):
-    """Band correlation R_y = Z Z^H / n, the residuals of each band regressed
-    on the others, and the diagonal of their correlation (see
-    ``estimate_noise``)."""
+    """Band correlation R_y = Z Z^H / n and the residual variance of each
+    band regressed on the others (see ``estimate_noise``)."""
     zm = z.entries
     l, n = zm.shape
     if l < 3:
@@ -64,56 +67,46 @@ def _regress_bands(z: SpectralMatrix):
 
     r_y = _hermitize(zm @ zm.conj().T / n)
     if not np.any(zm):  # no signal and no noise: nothing to regress
-        return r_y, np.zeros_like(zm), np.zeros((l, l), dtype=np.complex128)
+        return r_y, np.zeros(l)
     ridge = RIDGE_SCALE * np.trace(r_y).real / l
 
-    r_inv = None
     for factor in (1.0, 1e6):
         try:
             r_inv = np.linalg.inv(r_y + factor * ridge * np.eye(l))
             break
         except np.linalg.LinAlgError:
             continue
-    if r_inv is None:
+    else:
         raise SingularRegression("band correlation matrix is singular even with ridge")
 
-    # Coefficients for all bands at once: removing band i from the inverse via
-    # the block-inversion identity, beta_i = (R_{-i,-i})^-1 R_{-i,i}.
-    betas = np.zeros((l, l), dtype=np.complex128)
-    for i in range(l):
-        xx = r_inv - np.outer(r_inv[:, i], r_inv[i, :]) / r_inv[i, i]
-        rra = r_y[:, i].copy()
-        rra[i] = 0.0
-        betas[i, :] = xx @ rra
-    # Least-squares prediction of band i is conj(beta_i) applied to the rows.
-    residual = zm - betas.conj() @ zm
-    variances = np.maximum(np.einsum("ij,ij->i", residual, residual.conj()).real / n, 0.0)
-    return r_y, residual, np.diag(variances).astype(np.complex128)
+    # By block inversion, -r_inv[i, j] / r_inv[i, i] (j != i) are the
+    # coefficients of band i regressed on band j, so row i of `a` maps the
+    # bands to band i's residual, and that residual's variance is
+    # (a R_y a^H)_ii.
+    a = r_inv / np.diag(r_inv)[:, None]
+    return r_y, np.maximum(np.sum((a @ r_y) * a.conj(), axis=1).real, 0.0)
 
 
-def estimate_noise(z: SpectralMatrix):
-    """Estimate per-band noise by multiple regression on the other bands.
+def estimate_noise(z: SpectralMatrix) -> np.ndarray:
+    """Estimate per-band noise variances by multiple regression on the
+    other bands; returns an (L,) real array.
 
-    Returns ``(noise_estimate, noise_corr)`` where the estimate is a
-    SpectralMatrix of residual rows and ``noise_corr`` is the diagonal part
-    of their L x L sample correlation matrix.  The off-diagonal part is
-    discarded deliberately: the regression residual operator annihilates
-    any spectral direction shared by all bands, so the full residual
-    correlation underestimates noise exactly where the signal lives, while
-    its diagonal stays unbiased.
+    Each variance is the mean squared residual of its band regressed on all
+    the others, computed in closed form from the band correlation matrix.
+    Only these variances, the diagonal of the residual correlation, are
+    used: the regression residual operator annihilates any spectral
+    direction shared by all bands, so the full residual correlation
+    underestimates noise exactly where the signal lives, while its diagonal
+    stays unbiased.
     """
-    _, residual, noise_corr = _regress_bands(z)
-    noise = SpectralMatrix(
-        entries=residual, n_rows=z.n_rows, n_cols=z.n_cols, wavelengths=z.wavelengths
-    )
-    return noise, noise_corr
+    return _regress_bands(z)[1]
 
 
 def identify_subspace(z: SpectralMatrix) -> EigenBasis:
     """Pick the eigen-subspace of the band correlation matrix that minimizes
     the reconstruction mean squared error under the estimated noise.  An
     all-zero matrix holds no signal, and its subspace is empty (p = 0)."""
-    r_y, _, noise_corr = _regress_bands(z)
+    r_y, noise_var = _regress_bands(z)
     l = r_y.shape[0]
 
     try:
@@ -125,30 +118,24 @@ def identify_subspace(z: SpectralMatrix) -> EigenBasis:
     vecs = vecs[:, order]
 
     ridge = RIDGE_SCALE * np.trace(r_y).real / l
-    p_y = np.einsum("li,lk,ki->i", vecs.conj(), r_y, vecs).real
-    sigma2 = np.einsum("li,lk,ki->i", vecs.conj(), noise_corr, vecs).real + ridge
-    delta = 2.0 * sigma2 - p_y
+    eig_noise = (np.abs(vecs) ** 2).T @ noise_var  # e_i^H diag(noise_var) e_i
+    delta = 2.0 * (eig_noise + ridge) - eigvals
 
     rank = np.argsort(delta, kind="stable")
-    total_power = float(p_y.sum())
+    total_power = float(eigvals.sum())
     mse_curve = total_power + np.cumsum(delta[rank])
 
     selected = rank[delta[rank] < 0.0]
     if selected.size == 0 and total_power > 0.0:  # all-zero data keeps nothing
         selected = rank[:1]
-    p = int(selected.size)
 
-    signal_power = p_y[selected] - (sigma2[selected] - ridge)
+    signal_power = eigvals[selected] - eig_noise[selected]
     by_signal = selected[np.argsort(signal_power, kind="stable")[::-1]]
-    e = vecs[:, by_signal]
-
-    var = np.einsum("li,lk,ki->i", e.conj(), noise_corr, e).real
-    var = np.maximum(var, 0.0)
     return EigenBasis(
-        E=e,
-        p=p,
-        noise_corr=noise_corr,
-        eigen_noise_var=var,
+        E=vecs[:, by_signal],
+        p=int(selected.size),
+        noise_var=noise_var,
+        eigen_noise_var=eig_noise[by_signal],
         mse_curve=mse_curve,
         eigenvalues=eigvals,
     )

@@ -591,6 +591,15 @@ class TestEstimateSigma:
 
         assert rrmse(out) < rrmse(noisy)
 
+    @pytest.mark.parametrize("threshold", [0.5, 2.0])
+    def test_ignores_match_threshold(self, threshold):
+        # a threshold would shrink the probe's groups to single patches,
+        # whose cores hold only rounding residue in the tail
+        img = random_field(np.random.default_rng(17), (40, 36))
+        plain = estimate_sigma(img)
+        assert estimate_sigma(img, DenoiseConfig(match_threshold=threshold)) == plain
+        assert plain == pytest.approx(np.sqrt(2.0), rel=0.1)
+
     def test_calibration_does_not_depend_on_call_history(self, monkeypatch):
         img = random_field(np.random.default_rng(16), (48, 48))
         monkeypatch.setattr(cdbm3d, "_SIGMA_CALIBRATION", {})

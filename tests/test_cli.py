@@ -7,8 +7,12 @@ import numpy as np
 import pytest
 
 import hscube as hs
+from hscube import cli
+from hscube.ccf import WindowSpec
+from hscube.cdbm3d import DenoiseConfig
 from hscube.cube import read_cube, write_cube
-from hscube.evaluate import CSV_COLUMNS, read_csv
+from hscube.evaluate import CSV_COLUMNS, METHOD_NAMES, ObjectDef, read_csv
+from hscube.synth import ObjectKind
 
 
 def run_cli(*args, cwd=None, env=None):
@@ -159,6 +163,25 @@ class TestDenoise:
         lines = (tmp_path / "sub.csv").read_text().splitlines()
         assert lines[0] == "window_center,candidate_dim,eigenvalue,mse,chosen_p"
         assert len(lines) == 1 + 12  # one candidate row per band
+
+    def test_defaults_and_choices_come_from_the_library(self):
+        parser = cli._build_parser()
+        args = parser.parse_args(["denoise", "--method", "ccf", "in.chsc", "out.chsc"])
+        assert cli._config_from(args) == DenoiseConfig()
+        assert WindowSpec(args.window, args.step) == WindowSpec()
+        for kind in ObjectKind:
+            args = parser.parse_args(["synth", "--object", kind.value, "--size", "4", "4", "4"])
+            assert ObjectKind(args.object) is kind
+            assert (args.target_phase, args.max_phase) == (
+                ObjectDef.target_phase, ObjectDef.max_phase
+            )
+        for name in METHOD_NAMES:
+            argv = ["denoise", "--method", name, "in.chsc", "out.chsc"]
+            if name == "noop":  # a manifest-only method
+                with pytest.raises(SystemExit):
+                    parser.parse_args(argv)
+            else:
+                assert parser.parse_args(argv).method == name
 
     def test_help_documents_config_fields(self):
         res = run_cli("denoise", "--help")

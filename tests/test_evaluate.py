@@ -5,11 +5,13 @@ import numpy as np
 import pytest
 
 import hscube as hs
+from hscube.ccf import WindowSpec
 from hscube.cdbm3d import DenoiseConfig
 from hscube.errors import DimensionMismatch, DispersionRequired, ManifestError, ZeroReference
 from hscube.evaluate import (
     CSV_COLUMNS,
     MethodDef,
+    ObjectDef,
     csv_text,
     make_report,
     parse_manifest,
@@ -17,7 +19,7 @@ from hscube.evaluate import (
     run_experiment,
     write_csv,
 )
-from hscube.synth import ObjectKind
+from hscube.synth import DispersionModel, ObjectKind
 
 
 def tiny_cube(rng, side=6, bands=4, phase_scale=0.5):
@@ -192,6 +194,22 @@ class TestManifest:
             parse_manifest(
                 small_manifest(methods=[{"name": "noop", "config": {"patch_rows": "x"}}])
             )
+        for kind in ("cube", "WRAPPED_PEAK"):
+            with pytest.raises(ManifestError, match=r"objects\[1\]\.kind: unknown object kind"):
+                parse_manifest(small_manifest(objects=["wrapped", {"kind": kind}]))
+
+    def test_defaults_come_from_the_dataclasses(self):
+        m = parse_manifest(small_manifest(
+            objects=[kind.value for kind in ObjectKind], methods=[{"name": "ccf-sliding"}]
+        ))
+        assert [o.kind for o in m.objects] == list(ObjectKind)
+        assert all(
+            (o.target_phase, o.max_phase) == (ObjectDef.target_phase, ObjectDef.max_phase)
+            for o in m.objects
+        )
+        assert m.dispersion == DispersionModel()
+        (method,) = m.methods
+        assert method.config == DenoiseConfig() and method.window == WindowSpec()
 
     def test_empty_lists_allowed(self):
         m = parse_manifest(small_manifest(objects=[], methods=[]))

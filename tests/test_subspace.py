@@ -1,10 +1,18 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import hscube as hs
 from hscube.cube import SpectralMatrix, reshape_to_matrix
 from hscube.errors import DimensionMismatch, TooFewBands, TooFewPixels
-from hscube.subspace import back_project, estimate_noise, identify_subspace, project
+from hscube.subspace import (
+    RIDGE_SCALE,
+    back_project,
+    estimate_noise,
+    identify_subspace,
+    project,
+)
 
 
 def complex_noise(rng, shape, sigma=1.0):
@@ -27,25 +35,24 @@ class TestEstimateNoise:
     def test_pure_noise_diagonal(self):
         rng = np.random.default_rng(0)
         z = SpectralMatrix(complex_noise(rng, (8, 4096)), 64, 64)
-        _, corr = estimate_noise(z)
-        diag = np.diag(corr).real
-        assert np.all(np.abs(diag - 1.0) < 0.1)
+        var = estimate_noise(z)
+        assert var.shape == (8,)
+        assert np.all(np.abs(var - 1.0) < 0.1)
 
     def test_rank_one_residual_vanishes(self):
         rng = np.random.default_rng(1)
         row = rng.normal(size=512) + 1j * rng.normal(size=512)
         z = SpectralMatrix(np.tile(row, (6, 1)), 16, 32)
-        noise, corr = estimate_noise(z)
+        var = estimate_noise(z)
         scale = np.linalg.norm(z.entries) ** 2 / z.n_pixels
-        assert np.linalg.norm(corr) <= 1e-10 * scale
-        assert np.linalg.norm(noise.entries) <= 1e-4 * np.linalg.norm(z.entries)
+        assert np.linalg.norm(var) <= 1e-10 * scale
 
     def test_scaling_homogeneity(self):
         rng = np.random.default_rng(2)
         z = rank_k_matrix(rng, 6, 2, 400) + complex_noise(rng, (6, 400))
-        _, corr1 = estimate_noise(SpectralMatrix(z, 20, 20))
-        _, corr2 = estimate_noise(SpectralMatrix(2.0 * z, 20, 20))
-        assert np.allclose(corr2, 4.0 * corr1, rtol=1e-8)
+        var1 = estimate_noise(SpectralMatrix(z, 20, 20))
+        var2 = estimate_noise(SpectralMatrix(2.0 * z, 20, 20))
+        assert np.allclose(var2, 4.0 * var1, rtol=1e-8)
 
 
 class TestIdentifySubspace:
@@ -96,9 +103,10 @@ class TestIdentifySubspace:
             rank_k_matrix(rng, 14, 2, 700) + complex_noise(rng, (14, 700)), 70, 10
         )
         basis = identify_subspace(z)
-        _, corr = estimate_noise(z)
+        var = estimate_noise(z)
+        assert np.array_equal(basis.noise_var, var)
         for i in range(basis.p):
-            direct = (basis.E[:, i].conj() @ corr @ basis.E[:, i]).real
+            direct = (basis.E[:, i].conj() @ np.diag(var) @ basis.E[:, i]).real
             assert abs(basis.eigen_noise_var[i] - direct) <= 1e-10
 
     def test_rank_recovery_rate(self):
@@ -112,6 +120,78 @@ class TestIdentifySubspace:
                 trials += 1
                 hits += identify_subspace(z).p == k
         assert hits >= 0.95 * trials
+
+
+def lstsq_noise_var(zm):
+    """Residual variance of each band regressed on all the others: one
+    least-squares solve per band, with the estimator's ridge
+    (RIDGE_SCALE * trace(R_y) / L) appended as extra rows."""
+    l, n = zm.shape
+    power = np.sum(np.abs(zm) ** 2) / n  # trace of R_y
+    if power == 0.0:
+        return np.zeros(l)
+    ridge_rows = np.sqrt(n * RIDGE_SCALE * power / l) * np.eye(l - 1)
+    out = np.empty(l)
+    for i in range(l):
+        others = np.delete(zm, i, axis=0).T  # (n, L - 1)
+        coef = np.linalg.lstsq(
+            np.vstack([others, ridge_rows]), np.concatenate([zm[i], np.zeros(l - 1)]),
+            rcond=None,
+        )[0]
+        out[i] = np.sum(np.abs(zm[i] - others @ coef) ** 2) / n
+    return out
+
+
+def reference_p(zm, noise_var):
+    """Minimum-error subspace size from Rayleigh quotients of the band
+    correlation and of the diagonal noise correlation."""
+    l, n = zm.shape
+    r_y = zm @ zm.conj().T / n
+    r_y = 0.5 * (r_y + r_y.conj().T)
+    vecs = np.linalg.eigh(r_y)[1]
+    ridge = RIDGE_SCALE * np.trace(r_y).real / l
+    p_y = np.einsum("li,lk,ki->i", vecs.conj(), r_y, vecs).real
+    sigma2 = np.einsum("li,lk,ki->i", vecs.conj(), np.diag(noise_var), vecs).real + ridge
+    p = int(np.sum(2.0 * sigma2 - p_y < 0.0))
+    return 1 if p == 0 and p_y.sum() > 0.0 else p
+
+
+class TestClosedFormOracle:
+    """The closed-form band noise against a per-band least-squares solve.
+
+    Agreement is |closed form - lstsq| <= 1e-10 * lstsq + 1e-10 * trace(R_y) / L.
+    The floor is the ridge the estimator adds: on rank-deficient and
+    duplicated-row inputs the inverse of R_y + ridge has a condition number
+    near 1e10 * L, and both sides carry rounding residue of up to ~2e-11 of
+    the mean band power where the exact variance is zero.
+    """
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_matches_lstsq_per_band(self, data):
+        l = data.draw(st.integers(3, 40))
+        n = data.draw(st.integers(l + 1, 4 * l + 40))
+        kind = data.draw(st.sampled_from(["noisy", "rank-deficient", "duplicated", "zero"]))
+        scale = 10.0 ** data.draw(st.integers(-3, 3))
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**31 - 1)))
+        if kind == "zero":
+            zm = np.zeros((l, n), complex)
+        else:
+            zm = rank_k_matrix(rng, l, int(rng.integers(1, l)), n)
+            if kind != "rank-deficient":
+                zm += complex_noise(rng, (l, n), rng.uniform(0.01, 3.0))
+            if kind == "duplicated":
+                copies = rng.random(l) < 0.5
+                zm[copies] = zm[rng.integers(0, l, size=l)][copies]
+        zm *= scale
+        z = SpectralMatrix(zm, 1, n)
+
+        got = estimate_noise(z)
+        want = lstsq_noise_var(zm)
+        floor = 1e-10 * np.sum(np.abs(zm) ** 2) / n / l
+        assert got.shape == (l,) and np.all(got >= 0.0)
+        assert np.all(np.abs(got - want) <= 1e-10 * want + floor)
+        assert identify_subspace(z).p == reference_p(zm, want)
 
 
 class TestProjection:
@@ -136,7 +216,7 @@ class TestProjection:
         basis = EigenBasis(
             E=np.eye(l, dtype=complex),
             p=l,
-            noise_corr=np.zeros((l, l), complex),
+            noise_var=np.zeros(l),
             eigen_noise_var=np.zeros(l),
             mse_curve=np.zeros(l),
             eigenvalues=np.ones(l),
