@@ -18,7 +18,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .cdbm3d import DenoiseConfig, denoise_image
+from .cdbm3d import DenoiseConfig, _ldexp, _scale_exponent, denoise_image
 from .cube import ComplexCube, SpectralMatrix, reshape_to_cube, reshape_to_matrix
 from .errors import DimensionMismatch, InvalidConfig
 from .parallel import run_jobs
@@ -98,8 +98,14 @@ def ccf_denoise(
     ``cfg.sigma`` is ignored; each eigenimage is filtered with the noise
     level implied by the estimated noise correlation.  When ``diagnostics``
     is a list, a JSON-ready summary of the subspace decision is appended.
+    A cube whose largest magnitude leaves [2^-400, 2^400) is filtered at the
+    power-of-two scale that brings it to [1/2, 1), as in ``denoise_image``;
+    its output and diagnostics are scaled back.
     """
+    shift = _scale_exponent(cube.data)
     z = reshape_to_matrix(cube)
+    if shift:
+        _ldexp(z.entries, -shift, out=z.entries)  # a copy of the cube's samples
     basis = identify_subspace(z)
     zeig = project(z, basis)
     images = zeig.entries.reshape(basis.p, cube.n_rows, cube.n_cols)
@@ -116,20 +122,31 @@ def ccf_denoise(
         n_cols=cube.n_cols,
     )
     z_hat = back_project(zeig_hat, basis)
+    if shift:
+        _ldexp(z_hat.entries, shift, out=z_hat.entries)
     if diagnostics is not None:
-        diagnostics.append(
-            {
-                "center": None,
-                "band_lo": 0,
-                "band_hi": cube.n_bands,
-                "kept_bands": list(range(cube.n_bands)),
-                "p": basis.p,
-                "sigma_eigen": [float(s) for s in sigmas],
-                "eigenvalues": [float(v) for v in basis.eigenvalues],
-                "mse_curve": [float(v) for v in basis.mse_curve],
-            }
-        )
+        info = {
+            "center": None,
+            "band_lo": 0,
+            "band_hi": cube.n_bands,
+            "kept_bands": list(range(cube.n_bands)),
+            "p": basis.p,
+            "sigma_eigen": [float(s) for s in sigmas],
+            "eigenvalues": [float(v) for v in basis.eigenvalues],
+            "mse_curve": [float(v) for v in basis.mse_curve],
+        }
+        diagnostics.append(_rescale_diagnostics(info, shift))
     return reshape_to_cube(z_hat, wavelengths=cube.wavelengths)
+
+
+def _rescale_diagnostics(info: dict, shift: int) -> dict:
+    """Bring a subspace summary taken at the scale 2^-shift back to the
+    caller's units; a power beyond the float64 range reads inf."""
+    if shift:
+        with np.errstate(over="ignore"):
+            for key, power in (("sigma_eigen", 1), ("eigenvalues", 2), ("mse_curve", 2)):
+                info[key] = [float(v) for v in np.ldexp(np.asarray(info[key], float), power * shift)]
+    return info
 
 
 def ccf_sliding(
@@ -140,8 +157,17 @@ def ccf_sliding(
     threads: int = 1,
 ) -> ComplexCube:
     """Sliding-window variant; every band of the output comes from exactly
-    one window run."""
+    one window run.
+
+    Each window job returns only the bands it owns, so the finished jobs
+    together hold one cube, not one window per band step.  The whole cube is
+    brought into the safe magnitude band at once (see ``ccf_denoise``), so
+    that every window sees the same scale.
+    """
     plan = sliding_plan(cube.n_bands, window)
+    shift = _scale_exponent(cube.data)
+    if shift:
+        cube = ComplexCube(wavelengths=cube.wavelengths, data=_ldexp(cube.data, -shift))
 
     def make_job(run: WindowRun):
         def job():
@@ -151,16 +177,17 @@ def ccf_sliding(
             )
             local: list = []
             result = ccf_denoise(sub, cfg, diagnostics=local, threads=1)
-            return result, local[0]
+            # an index list copies, so the window's cube is freed
+            return result.data[:, :, [b - run.band_lo for b in run.kept]], local[0]
 
         return job
 
     results = run_jobs([make_job(run) for run in plan], threads)
     out = np.empty_like(cube.data)
-    for run, (result, info) in zip(plan, results):
-        for b in run.kept:
-            out[:, :, b] = result.data[:, :, b - run.band_lo]
+    for run, (owned, info) in zip(plan, results):
+        out[:, :, list(run.kept)] = owned
         if diagnostics is not None:
+            _rescale_diagnostics(info, shift)
             info.update(
                 {
                     "center": run.center,
@@ -170,4 +197,6 @@ def ccf_sliding(
                 }
             )
             diagnostics.append(info)
+    if shift:
+        _ldexp(out, shift, out=out)
     return ComplexCube(wavelengths=cube.wavelengths, data=out)

@@ -13,8 +13,12 @@ fourth mode of size two and works on real tensors.
 
 The heavy lifting is batched: groups that matched the same number of
 patches are factored, shrunk, inverted and aggregated together through
-stacked linear algebra, ``_GROUP_CHUNK`` groups at a time, so the working
-set stays in cache and the filter's memory does not grow with the image
+stacked linear algebra, in chunks whose gathered group tensor holds at most
+``_CHUNK_BYTES``.  Chunks are sized in bytes, not groups, so that a chunk's
+temporaries stay in cache and, freed and reused chunk after chunk, stay
+below the allocator's trim threshold: larger chunks made glibc hand their
+pages back to the kernel at the end of every chunk and fault them in again
+at the start of the next.  The filter's memory does not grow with the image
 beyond its image-sized accumulators and match lists.  Batched groups stay
 in gather order (K, rows, cols, then [re, im] under ImRe4D), and every mode
 product and mode Gram is one stacked GEMM on the last axis of a contiguous
@@ -25,13 +29,20 @@ earlier unfolding implementation to rounding, not bit for bit.
 from __future__ import annotations
 
 import enum
+import math
 import threading
 from dataclasses import dataclass, replace
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .errors import DecompositionFailed, DimensionMismatch, InvalidConfig, OutOfBounds
+from .errors import (
+    DecompositionFailed,
+    DimensionMismatch,
+    InvalidConfig,
+    OutOfBounds,
+    ResultOverflow,
+)
 from .parallel import _single_threaded_blas
 
 AGG_EPS = 1e-12
@@ -180,9 +191,10 @@ def hard_threshold_core(core: np.ndarray, threshold: float):
 def wiener_shrink_core(core_noisy: np.ndarray, core_pilot: np.ndarray, sigma: float):
     """Attenuate noisy coefficients by |pilot|^2 / (|pilot|^2 + sigma^2);
     returns (shrunk core, attenuation factors)."""
-    p2 = np.abs(core_pilot) ** 2
-    denom = p2 + sigma * sigma
-    shrink = np.divide(p2, denom, out=np.zeros_like(p2), where=denom > 0)
+    p2 = np.abs(core_pilot)
+    np.square(p2, out=p2)
+    shrink = p2 + sigma * sigma  # the denominator, overwritten by the factor
+    np.divide(p2, shrink, out=shrink, where=shrink > 0)  # a zero denominator stays 0
     return shrink * core_noisy, shrink
 
 
@@ -247,7 +259,8 @@ def _match(match_image: np.ndarray, refs, cfg: DenoiseConfig):
     of the box covering the tile's search windows only, so the cost grows
     with the pixel count, not its square.  Distances use the expansion
     ||P_ref - P||^2 = ||P||^2 - 2 Re<P, P_ref> + ||P_ref||^2, so the cross
-    terms of a whole tile come out of a single matrix product.
+    terms of a whole tile come out of a single real matrix product over the
+    interleaved (re, im) samples of the patches.
     """
     pr, pc = cfg.patch_rows, cfg.patch_cols
     n_px = pr * pc
@@ -272,8 +285,9 @@ def _match(match_image: np.ndarray, refs, cfg: DenoiseConfig):
         bh, bw = r1.max() - br + 1, c1.max() - bc + 1
         box = match_image[br : br + bh + pr - 1, bc : bc + bw + pc - 1]
         feats = sliding_window_view(box, (pr, pc)).reshape(bh * bw, n_px)
+        feats = np.ascontiguousarray(feats).view(np.float64)
         own = (r - br) * bw + (c - bc)
-        cross = (feats @ feats[own].conj().T).real
+        cross = feats @ feats[own].T
         box_norms = norms[br : br + bh, bc : bc + bw].ravel()
         dist = (box_norms - 2.0 * cross.T + box_norms[own, None]) / n_px
         np.maximum(dist, 0.0, out=dist)
@@ -356,7 +370,8 @@ def _bucket_by_size(groups):
 
 def _scatter(num, den, est, rows, cols, weights, width):
     """Add the weighted patch estimates into the flat image sums ``num`` and
-    ``den``; ``np.add.at`` sums each pixel in index order."""
+    ``den``; ``np.add.at`` sums each pixel in index order.  ``est`` is
+    weighted in place."""
     pr, pc = est.shape[2], est.shape[3]
     base = rows * width + cols
     idx = (
@@ -365,7 +380,8 @@ def _scatter(num, den, est, rows, cols, weights, width):
         + np.arange(pc)[None, None, None, :]
     ).ravel()
     wv = weights[:, None, None, None]
-    np.add.at(num.reshape(-1), idx, (wv * est).ravel())
+    est *= wv
+    np.add.at(num.reshape(-1), idx, est.ravel())
     np.add.at(den.reshape(-1), idx, np.broadcast_to(wv, est.shape).ravel())
 
 
@@ -382,7 +398,53 @@ def _check_image(image: np.ndarray, cfg: DenoiseConfig) -> np.ndarray:
     return image
 
 
-_GROUP_CHUNK = 64  # groups taken through the collaborative pass at a time
+# ---------------------------------------------------------------------------
+# scale
+
+
+_SAFE_MAGNITUDE = 2.0**400
+
+
+def _scale_exponent(data: np.ndarray) -> int:
+    """0 when the largest real or imaginary magnitude of the complex array
+    ``data`` lies in the safe band [2^-400, 2^400), or ``data`` is zero;
+    otherwise its binary exponent e, so that data * 2^-e peaks in [1/2, 1).
+
+    In the band, the squares the filter and the subspace estimate take (mode
+    Grams, Wiener powers, band correlations) and their sums stay far from
+    float64 underflow and overflow; beyond it they underflow to zero or
+    overflow.  Data out of the band is filtered at the scale 2^-e, which is
+    exact, and the result scaled back; data in it is left untouched.
+    """
+    if data.size == 0:
+        return 0
+    top = max(-data.real.min(), data.real.max(), -data.imag.min(), data.imag.max())
+    if top == 0 or 1.0 / _SAFE_MAGNITUDE <= top < _SAFE_MAGNITUDE:
+        return 0
+    return math.frexp(top)[1]
+
+
+def _ldexp(data: np.ndarray, e: int, out: np.ndarray | None = None) -> np.ndarray:
+    """data * 2^e for a complex array, exact unless a result is subnormal;
+    raises ResultOverflow where one exceeds the float64 range."""
+    if out is None:
+        out = np.empty(data.shape, dtype=np.complex128)
+    with np.errstate(over="ignore"):
+        np.ldexp(data.real, e, out=out.real)
+        np.ldexp(data.imag, e, out=out.imag)
+    if e > 0 and not np.all(np.isfinite(out)):
+        raise ResultOverflow(f"result scaled by 2^{e} exceeds the float64 range")
+    return out
+
+
+def _ldexp_scalar(x: float, e: int) -> float:
+    try:
+        return math.ldexp(x, e)
+    except OverflowError:
+        raise ResultOverflow(f"{x} scaled by 2^{e} exceeds the float64 range") from None
+
+
+_CHUNK_BYTES = 512 * 1024  # bytes of one chunk's gathered group tensor
 
 
 def _grouped_cores(match_image: np.ndarray, images, cfg: DenoiseConfig):
@@ -390,7 +452,8 @@ def _grouped_cores(match_image: np.ndarray, images, cfg: DenoiseConfig):
     matched corners.
 
     Yields one iterator per bucket of equal-size groups, which gathers and
-    transforms the bucket ``_GROUP_CHUNK`` groups at a time.  Each step
+    transforms the bucket in chunks of at most ``_CHUNK_BYTES`` of group
+    tensor (at least one group).  Each step
     yields (rows, cols, factors, cores): the (G, K) member corners, the
     per-mode factors of the first image's groups, and the forward transform
     of each image's groups in those factors.  Groups keep their gather order
@@ -405,8 +468,10 @@ def _grouped_cores(match_image: np.ndarray, images, cfg: DenoiseConfig):
     real_only = imre and not any(np.any(im.imag) for im in images)
 
     def chunks(indices):
-        for start in range(0, len(indices), _GROUP_CHUNK):
-            part = indices[start : start + _GROUP_CHUNK]
+        group_bytes = groups[indices[0]][0].size * cfg.patch_rows * cfg.patch_cols * 16
+        step = max(1, _CHUNK_BYTES // group_bytes)
+        for start in range(0, len(indices), step):
+            part = indices[start : start + step]
             rows = np.stack([groups[i][0] for i in part])
             cols = np.stack([groups[i][1] for i in part])
             tensors = [v[rows, cols] for v in views]
@@ -483,14 +548,24 @@ def wiener_stage(image: np.ndarray, pilot: np.ndarray, cfg: DenoiseConfig) -> np
 
 
 def denoise_image(image: np.ndarray, cfg: DenoiseConfig) -> np.ndarray:
-    """Run the configured stages on one complex image and return the estimate."""
+    """Run the configured stages on one complex image and return the estimate.
+
+    An image whose largest magnitude leaves [2^-400, 2^400) is filtered,
+    with its sigma, at the power-of-two scale that brings it to [1/2, 1),
+    and the estimate is scaled back.
+    """
     image = _check_image(image, cfg)
+    shift = _scale_exponent(image)
+    if shift:
+        image = _ldexp(image, -shift)
+        if cfg.sigma is not None:
+            cfg = replace(cfg, sigma=_ldexp_scalar(cfg.sigma, -shift))
     if cfg.sigma is None:
         cfg = replace(cfg, sigma=estimate_sigma(image, cfg))
     est = threshold_stage(image, cfg)
     if cfg.stages is Stages.THRESHOLD_PLUS_WIENER:
         est = wiener_stage(image, est, cfg)
-    return est
+    return _ldexp(est, shift, out=est) if shift else est
 
 
 def _tail_mad(image: np.ndarray, probe: DenoiseConfig) -> float:
@@ -553,8 +628,10 @@ def estimate_sigma(image: np.ndarray, cfg: DenoiseConfig | None = None) -> float
     calibrated against a unit-noise probe and returned as the total standard
     deviation of the noise: complex noise for a complex image, real noise
     for an image without imaginary part.  A constant image returns exactly
-    0.0.  ``cfg.match_threshold`` is ignored: a threshold can leave single
-    patches as groups, whose tail cores hold only rounding residue.
+    0.0.  An image out of the safe magnitude band is measured at a
+    power-of-two scale, as in ``denoise_image``.  ``cfg.match_threshold`` is
+    ignored: a threshold can leave single patches as groups, whose tail
+    cores hold only rounding residue.
     """
     base = cfg or DenoiseConfig()
     probe = replace(
@@ -568,4 +645,8 @@ def estimate_sigma(image: np.ndarray, cfg: DenoiseConfig | None = None) -> float
     image = _check_image(image, probe)
     if np.all(image == image.flat[0]):
         return 0.0
-    return _tail_mad(image, probe) / _sigma_calibration(probe, not np.any(image.imag))
+    shift = _scale_exponent(image)  # as in denoise_image
+    if shift:
+        image = _ldexp(image, -shift)
+    sigma = _tail_mad(image, probe) / _sigma_calibration(probe, not np.any(image.imag))
+    return _ldexp_scalar(sigma, shift)

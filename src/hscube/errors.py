@@ -57,6 +57,10 @@ class DecompositionFailed(HscubeError, RuntimeError):
     """A linear-algebra factorization did not converge."""
 
 
+class ResultOverflow(HscubeError, ArithmeticError):
+    """A result exceeds the float64 range although the input did not."""
+
+
 class ZeroReference(HscubeError, ValueError):
     """Relative error is undefined against an all-zero reference."""
 

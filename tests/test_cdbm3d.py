@@ -1,7 +1,9 @@
 import functools
 import itertools
+import math
 import sys
 import tracemalloc
+from dataclasses import replace
 from unittest import mock
 
 import numpy as np
@@ -27,12 +29,25 @@ from hscube.cdbm3d import (
     wiener_shrink_core,
     wiener_stage,
 )
-from hscube.errors import DimensionMismatch, InvalidConfig, OutOfBounds
+from hscube.errors import DimensionMismatch, InvalidConfig, OutOfBounds, ResultOverflow
 from hscube.parallel import run_jobs
 
 
 def random_field(rng, shape):
     return rng.normal(size=shape) + 1j * rng.normal(size=shape)
+
+
+def scaled(a, e):
+    """a * 2^e, component by component."""
+    out = np.empty(np.shape(a), dtype=np.complex128)
+    with np.errstate(over="ignore"):
+        out.real, out.imag = np.ldexp(np.real(a), e), np.ldexp(np.imag(a), e)
+    return out
+
+
+def peak_exponent(a):
+    """e with the largest real or imaginary magnitude of ``a`` in [2^(e-1), 2^e)."""
+    return math.frexp(float(np.max(np.abs(np.asarray(a, np.complex128).view(np.float64)))))[1]
 
 
 def brute_force_members(img, ref, cfg):
@@ -514,8 +529,9 @@ class TestDenoiseImage:
 
 
 class TestGroupChunks:
-    """The collaborative pass takes each size bucket through in chunks of
-    ``_GROUP_CHUNK`` groups; the chunk size must not change a bit."""
+    """The collaborative pass takes each size bucket through in chunks of at
+    most ``_CHUNK_BYTES`` of group tensor; the chunk size must not change a
+    bit."""
 
     @staticmethod
     def outputs(img):
@@ -532,16 +548,30 @@ class TestGroupChunks:
         rng = np.random.default_rng(18)
         img = np.cumsum(random_field(rng, (36, 36)), axis=0) + 2.0 * random_field(rng, (36, 36))
         inputs = [img, img.real.astype(np.complex128)]
-        default = cdbm3d._GROUP_CHUNK
-        buckets = cdbm3d._bucket_by_size(cdbm3d._collect_groups(img, DenoiseConfig()))
-        assert max(len(b) for b in buckets.values()) > default
+        cfg = DenoiseConfig()
+        full_group = cfg.max_group_size * cfg.patch_rows * cfg.patch_cols * 16
+        default = cdbm3d._CHUNK_BYTES
+        buckets = cdbm3d._bucket_by_size(cdbm3d._collect_groups(img, cfg))
+        assert len(buckets[cfg.max_group_size]) > default // full_group
         results = []
-        for chunk in (1, 7, default):
-            monkeypatch.setattr(cdbm3d, "_GROUP_CHUNK", chunk)
+        # one group, seven full groups, the default, and whole buckets
+        for budget in (1, 7 * full_group, default, 2**40):
+            monkeypatch.setattr(cdbm3d, "_CHUNK_BYTES", budget)
             monkeypatch.setattr(cdbm3d, "_SIGMA_CALIBRATION", {})
             results.append([self.outputs(x) for x in inputs])
-        assert results[0] == results[2]
-        assert results[1] == results[2]
+        assert all(r == results[2] for r in results)
+
+    def test_chunks_are_sized_in_bytes(self, monkeypatch):
+        img = random_field(np.random.default_rng(20), (40, 40))
+        cfg = DenoiseConfig()
+        sizes = {}
+        for bucket in cdbm3d._grouped_cores(img, [img], cfg):
+            for rows, _, _, (core,) in bucket:
+                sizes.setdefault(rows.shape[1], []).append(rows.shape[0])
+                assert core.nbytes <= max(cdbm3d._CHUNK_BYTES, core[:1].nbytes)
+        # a full chunk of the largest groups is as large as the budget allows
+        full_group = cfg.max_group_size * cfg.patch_rows * cfg.patch_cols * 16
+        assert max(sizes[cfg.max_group_size]) == cdbm3d._CHUNK_BYTES // full_group
 
     def test_peak_memory_does_not_grow_with_buckets(self):
         img = random_field(np.random.default_rng(19), (64, 64))
@@ -552,6 +582,20 @@ class TestGroupChunks:
         finally:
             tracemalloc.stop()
         assert peak <= 40e6
+
+    @pytest.mark.parametrize("variant", list(Variant))
+    def test_peak_memory_of_a_small_filter(self, variant):
+        # byte-sized chunks keep the pass's temporaries to a few MB; chunks
+        # of 64 full groups peaked at about 23 MB here
+        img = random_field(np.random.default_rng(19), (64, 64))
+        estimate_sigma(img)  # fill the calibration cache outside the trace
+        tracemalloc.start()
+        try:
+            denoise_image(img, DenoiseConfig(sigma=1.0, variant=variant))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 12e6
 
 
 class TestEstimateSigma:
@@ -630,3 +674,87 @@ class TestEstimateSigma:
             sys.setswitchinterval(interval)
         assert pooled == serial
         assert len(calls) == len(images) + 1  # one unit-noise probe in all
+
+
+# peak exponents: inside the safe band [2^-400, 2^400), out of it, and at
+# the float64 limits
+exponents = st.one_of(
+    st.integers(-399, 400), st.integers(-1074, -400), st.integers(401, 1024)
+)
+
+
+class TestScaleSafety:
+    """Images out of the safe magnitude band are filtered at the power-of-two
+    scale that brings their peak to [1/2, 1); the result is that scale's
+    output scaled back, finite, and never a silent zero."""
+
+    @staticmethod
+    def in_range(image):
+        """The image brought to [1/2, 1) and the exponent that undoes it."""
+        e = peak_exponent(image)
+        return scaled(image, -e), e
+
+    @staticmethod
+    def outputs(image, cfg):
+        """(estimate, sigma estimate), each None where it raised ResultOverflow."""
+        out = []
+        for f in (denoise_image, estimate_sigma):
+            try:
+                out.append(f(image, cfg))
+            except ResultOverflow:
+                out.append(None)
+        return out
+
+    @settings(max_examples=30, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), k=exponents, real=st.booleans())
+    def test_any_magnitude(self, seed, k, real):
+        x = random_field(np.random.default_rng(seed), (16, 16))
+        if real:
+            x = x.real.astype(np.complex128)
+        y = scaled(x, k - peak_exponent(x))
+        if not np.any(y):  # scaled below the smallest subnormal
+            return
+        cfg = DenoiseConfig()
+        out, sigma = self.outputs(y, cfg)
+        if 2.0**-400 <= np.max(np.abs(y.view(np.float64))) < 2.0**400:
+            assert np.all(np.isfinite(out)) and np.any(out) and 0 < sigma < np.inf
+            return
+        canon, e = self.in_range(y)
+        expected = scaled(denoise_image(canon, cfg), e)
+        if np.all(np.isfinite(expected)):
+            assert out.tobytes() == expected.tobytes()
+        else:
+            assert out is None
+        with np.errstate(over="ignore"):
+            expected_sigma = np.ldexp(estimate_sigma(canon, cfg), e)
+        assert sigma == (expected_sigma if np.isfinite(expected_sigma) else None)
+
+    @pytest.mark.parametrize("factor", [1e-170, 1e-300, 1e300])
+    def test_scales_that_used_to_fail(self, factor):
+        # unscaled, the Wiener powers underflowed to an all-zero estimate,
+        # or the mode Grams overflowed into DecompositionFailed
+        img = random_field(np.random.default_rng(21), (24, 24)) * factor
+        out = denoise_image(img, DenoiseConfig())
+        canon, e = self.in_range(img)
+        assert np.any(out)
+        assert out.tobytes() == scaled(denoise_image(canon, DenoiseConfig()), e).tobytes()
+
+    def test_given_sigma_is_scaled_with_the_image(self):
+        img = random_field(np.random.default_rng(22), (24, 24))
+        canon, _ = self.in_range(img)
+        cfg = DenoiseConfig(sigma=0.25)
+        for e in (-700, 700):
+            out = denoise_image(scaled(canon, e), replace(cfg, sigma=math.ldexp(0.25, e)))
+            assert out.tobytes() == scaled(denoise_image(canon, cfg), e).tobytes()
+
+    def test_in_band_images_are_not_rescaled(self, monkeypatch):
+        img = random_field(np.random.default_rng(23), (16, 16))
+        monkeypatch.setattr(cdbm3d, "_ldexp", mock.Mock(side_effect=AssertionError))
+        for e in (-399, 0, 399):
+            denoise_image(scaled(img, e - peak_exponent(img) + 1), DenoiseConfig())
+
+    def test_result_beyond_float64_fails_typed(self):
+        top = np.full((2, 2), 1.5 + 0j)
+        assert np.all(cdbm3d._ldexp(top, 1023) == 1.5 * 2.0**1023)
+        with pytest.raises(ResultOverflow):
+            cdbm3d._ldexp(top, 1024)
