@@ -104,8 +104,8 @@ def ccf_denoise(
     """
     shift = _scale_exponent(cube.data)
     z = reshape_to_matrix(cube)
-    if shift:
-        _ldexp(z.entries, -shift, out=z.entries)  # a copy of the cube's samples
+    if shift:  # the entries may be a view of the caller's samples
+        z = replace(z, entries=_ldexp(z.entries, -shift))
     basis = identify_subspace(z)
     zeig = project(z, basis)
     images = zeig.entries.reshape(basis.p, cube.n_rows, cube.n_cols)
@@ -123,7 +123,7 @@ def ccf_denoise(
     )
     z_hat = back_project(zeig_hat, basis)
     if shift:
-        _ldexp(z_hat.entries, shift, out=z_hat.entries)
+        _ldexp(z_hat.entries, shift, out=z_hat.entries)  # a fresh product
     if diagnostics is not None:
         info = {
             "center": None,
@@ -135,18 +135,13 @@ def ccf_denoise(
             "eigenvalues": [float(v) for v in basis.eigenvalues],
             "mse_curve": [float(v) for v in basis.mse_curve],
         }
-        diagnostics.append(_rescale_diagnostics(info, shift))
+        if shift:  # back to the caller's units; a power beyond float64 reads inf
+            with np.errstate(over="ignore"):
+                for key, power in (("sigma_eigen", 1), ("eigenvalues", 2), ("mse_curve", 2)):
+                    scaled = np.ldexp(np.asarray(info[key], float), power * shift)
+                    info[key] = [float(v) for v in scaled]
+        diagnostics.append(info)
     return reshape_to_cube(z_hat, wavelengths=cube.wavelengths)
-
-
-def _rescale_diagnostics(info: dict, shift: int) -> dict:
-    """Bring a subspace summary taken at the scale 2^-shift back to the
-    caller's units; a power beyond the float64 range reads inf."""
-    if shift:
-        with np.errstate(over="ignore"):
-            for key, power in (("sigma_eigen", 1), ("eigenvalues", 2), ("mse_curve", 2)):
-                info[key] = [float(v) for v in np.ldexp(np.asarray(info[key], float), power * shift)]
-    return info
 
 
 def ccf_sliding(
@@ -160,14 +155,10 @@ def ccf_sliding(
     one window run.
 
     Each window job returns only the bands it owns, so the finished jobs
-    together hold one cube, not one window per band step.  The whole cube is
-    brought into the safe magnitude band at once (see ``ccf_denoise``), so
-    that every window sees the same scale.
+    together hold one cube, not one window per band step.  A window out of
+    the safe magnitude band is rescaled by ``ccf_denoise`` on its own.
     """
     plan = sliding_plan(cube.n_bands, window)
-    shift = _scale_exponent(cube.data)
-    if shift:
-        cube = ComplexCube(wavelengths=cube.wavelengths, data=_ldexp(cube.data, -shift))
 
     def make_job(run: WindowRun):
         def job():
@@ -187,7 +178,6 @@ def ccf_sliding(
     for run, (owned, info) in zip(plan, results):
         out[:, :, list(run.kept)] = owned
         if diagnostics is not None:
-            _rescale_diagnostics(info, shift)
             info.update(
                 {
                     "center": run.center,
@@ -197,6 +187,4 @@ def ccf_sliding(
                 }
             )
             diagnostics.append(info)
-    if shift:
-        _ldexp(out, shift, out=out)
     return ComplexCube(wavelengths=cube.wavelengths, data=out)

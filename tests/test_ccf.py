@@ -9,7 +9,16 @@ from hypothesis import strategies as st
 import hscube as hs
 from hscube.ccf import WindowSpec, ccf_denoise, ccf_sliding, sliding_plan
 from hscube.cdbm3d import DenoiseConfig, Stages, Variant
-from hscube.errors import HscubeError, InvalidConfig, ResultOverflow, TooFewBands
+from hscube.cube import reshape_to_matrix
+from hscube.errors import (
+    DecompositionFailed,
+    HscubeError,
+    InvalidConfig,
+    ResultOverflow,
+    TooFewBands,
+    TooFewPixels,
+)
+from hscube.subspace import identify_subspace
 
 
 def rank3_cube(rng, l=24, side=24):
@@ -124,6 +133,24 @@ class TestCcfDenoise:
         with pytest.raises(TooFewBands):
             ccf_denoise(cube, DenoiseConfig())
 
+    @pytest.mark.parametrize(
+        "shape, error", [((16, 16, 1), TooFewBands), ((1, 1, 4), TooFewPixels)]
+    )
+    def test_too_small_huge_cube_fails_typed(self, shape, error):
+        # such a cube's spectral matrix is a view of its read-only samples
+        data = np.full(shape, 1e200 + 1e200j)
+        cube = hs.ComplexCube(wavelengths=np.linspace(400, 700, shape[2]), data=data)
+        with pytest.raises(error):
+            ccf_denoise(cube, DenoiseConfig())
+
+    def test_huge_cube_fails_typed(self):
+        # ccf_denoise rescales such a cube first; the subspace estimate alone
+        # overflows the band correlations
+        cube = rank3_cube(np.random.default_rng(6), l=12, side=16)
+        huge = hs.ComplexCube(wavelengths=cube.wavelengths, data=cube.data * 1e200)
+        with np.errstate(all="ignore"), pytest.raises(DecompositionFailed):
+            identify_subspace(reshape_to_matrix(huge))
+
     def test_zero_cube_returns_zeros(self):
         cube = hs.ComplexCube(
             wavelengths=np.linspace(400, 700, 12), data=np.zeros((16, 16, 12), complex)
@@ -226,9 +253,12 @@ class TestCcfSliding:
 
 
 class TestScaleSafety:
-    """Cubes out of the safe magnitude band [2^-400, 2^400) are filtered at
-    the power-of-two scale that brings their peak to [1/2, 1), and the
-    result, diagnostics included, is scaled back."""
+    """A cube out of the safe magnitude band [2^-400, 2^400) is filtered by
+    ``ccf_denoise`` at the power-of-two scale that brings its peak to
+    [1/2, 1), and the result, diagnostics included, is scaled back;
+    ``ccf_sliding`` leaves that to ``ccf_denoise``, window by window."""
+
+    WINDOW = WindowSpec(5, 3)
 
     @staticmethod
     def noisy_rank3(seed, l=6, side=12):
@@ -236,8 +266,8 @@ class TestScaleSafety:
         clean = rank3_cube(rng, l=l, side=side).data
         return clean + 0.3 * (rng.normal(size=clean.shape) + 1j * rng.normal(size=clean.shape))
 
-    @staticmethod
-    def run(method, data):
+    @classmethod
+    def run(cls, method, data):
         """(output samples or None on ResultOverflow, diagnostics)."""
         cube = hs.ComplexCube(wavelengths=np.linspace(400, 700, data.shape[2]), data=data)
         diags: list = []
@@ -245,40 +275,74 @@ class TestScaleSafety:
             if method == "ccf":
                 out = ccf_denoise(cube, DenoiseConfig(), diagnostics=diags)
             else:
-                out = ccf_sliding(cube, DenoiseConfig(), WindowSpec(5, 3), diagnostics=diags)
+                out = ccf_sliding(cube, DenoiseConfig(), cls.WINDOW, diagnostics=diags)
         except ResultOverflow:
             return None, diags
         return out.data, diags
+
+    @classmethod
+    def by_window(cls, data):
+        """The sliding output assembled from one ``ccf_denoise`` per window,
+        and their diagnostics; None when a window's result overflows."""
+        out = np.empty_like(data)
+        diags: list = []
+        for run in sliding_plan(data.shape[2], cls.WINDOW):
+            sub, info = cls.run("ccf", data[:, :, run.band_lo : run.band_hi])
+            if sub is None:
+                return None, []
+            out[:, :, list(run.kept)] = sub[:, :, [b - run.band_lo for b in run.kept]]
+            diags += info
+        return out, diags
 
     @settings(max_examples=12, deadline=None)
     @given(
         seed=st.integers(0, 2**32 - 1),
         k=st.one_of(st.integers(-1000, -400), st.integers(401, 1024)),
-        method=st.sampled_from(["ccf", "sliding"]),
     )
-    def test_any_magnitude(self, seed, k, method):
+    def test_any_magnitude(self, seed, k):
         x = self.noisy_rank3(seed)
         y = scaled(x, k - peak_exponent(x))
         e = peak_exponent(y)
-        out, diags = self.run(method, y)
-        expected, expected_diags = self.run(method, scaled(y, -e))
+        out, diags = self.run("ccf", y)
+        expected, expected_diags = self.run("ccf", scaled(y, -e))
         expected = scaled(expected, e)
         if not np.all(np.isfinite(expected)):
             assert out is None
             return
         assert out.tobytes() == expected.tobytes()
+        (got,), (want,) = diags, expected_diags
+        with np.errstate(over="ignore"):
+            assert got["sigma_eigen"] == list(np.ldexp(want["sigma_eigen"], e))
+            assert got["eigenvalues"] == list(np.ldexp(want["eigenvalues"], 2 * e))
+
+    @settings(max_examples=12, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        k=st.one_of(st.integers(-1000, -400), st.integers(401, 1024)),
+    )
+    def test_sliding_any_magnitude(self, seed, k):
+        x = self.noisy_rank3(seed)
+        y = scaled(x, k - peak_exponent(x))
+        out, diags = self.run("sliding", y)
+        expected, expected_diags = self.by_window(y)
+        if expected is None:
+            assert out is None
+            return
+        assert np.all(np.isfinite(out))
+        assert out.tobytes() == expected.tobytes()
         assert len(diags) == len(expected_diags)
         for got, want in zip(diags, expected_diags):
-            with np.errstate(over="ignore"):
-                assert got["sigma_eigen"] == list(np.ldexp(want["sigma_eigen"], e))
-                assert got["eigenvalues"] == list(np.ldexp(want["eigenvalues"], 2 * e))
+            for key in ("p", "sigma_eigen", "eigenvalues", "mse_curve"):
+                assert got[key] == want[key]
 
     @pytest.mark.parametrize("factor", [1e-200, 1e200])
     def test_scales_that_used_to_fail(self, factor):
         # unscaled, the band correlations underflowed into SingularRegression
         # or overflowed into DecompositionFailed
         x = self.noisy_rank3(6, l=12, side=16) * factor
-        for method in ("ccf", "sliding"):
-            out, _ = self.run(method, x)
-            canon, _ = self.run(method, scaled(x, -peak_exponent(x)))
-            assert out.tobytes() == scaled(canon, peak_exponent(x)).tobytes()
+        out, _ = self.run("ccf", x)
+        canon, _ = self.run("ccf", scaled(x, -peak_exponent(x)))
+        assert out.tobytes() == scaled(canon, peak_exponent(x)).tobytes()
+        out, _ = self.run("sliding", x)
+        assert np.all(np.isfinite(out))
+        assert out.tobytes() == self.by_window(x)[0].tobytes()
