@@ -13,13 +13,10 @@ from .cdbm3d import (
     DenoiseConfig,
     Stages,
     Variant,
-    block_match,
     denoise_image,
     estimate_sigma,
     hosvd,
     inverse_hosvd,
-    threshold_stage,
-    wiener_stage,
 )
 from .cube import (
     ComplexCube,
@@ -39,7 +36,7 @@ from .evaluate import (
     run_experiment,
     snr_db,
 )
-from .subspace import EigenBasis, back_project, estimate_noise, identify_subspace, project
+from .subspace import EigenBasis, back_project, identify_subspace, project
 from .synth import (
     DispersionModel,
     NoiseSpec,

@@ -18,10 +18,10 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .cdbm3d import DenoiseConfig, _ldexp, _scale_exponent, denoise_image
+from .cdbm3d import DenoiseConfig, _check_int, _ldexp, _scale_exponent, denoise_image
 from .cube import ComplexCube, SpectralMatrix, reshape_to_cube, reshape_to_matrix
-from .errors import DimensionMismatch, InvalidConfig
-from .parallel import run_jobs
+from .errors import DimensionMismatch
+from .parallel import _single_threaded_blas, run_jobs
 from .subspace import back_project, identify_subspace, project
 
 
@@ -33,10 +33,8 @@ class WindowSpec:
     step: int = 12
 
     def __post_init__(self):
-        if self.width < 1:
-            raise InvalidConfig("window width must be at least 1 band")
-        if self.step < 1:
-            raise InvalidConfig("window step must be at least 1 band")
+        object.__setattr__(self, "width", _check_int("width", self.width, 1))
+        object.__setattr__(self, "step", _check_int("step", self.step, 1))
 
 
 @dataclass(frozen=True)
@@ -54,18 +52,18 @@ def sliding_plan(n_bands: int, window: WindowSpec) -> list[WindowRun]:
 
     A window is symmetric around its center and truncated at the cube edges
     (never mirrored or shifted), so edge centers see a one-sided, smaller
-    neighborhood; a window at least as wide as the cube is the whole cube.
-    Bands are owned by the nearest center whose window covers them; when the
-    width/step combination leaves some band uncovered the plan is rejected.
+    neighborhood.  A window at least as wide as the cube is the whole cube
+    wherever it is centered, so the plan is then one run, centered at the
+    middle band.  Bands are owned by the nearest center whose window covers
+    them; when the width/step combination leaves some band uncovered the
+    plan is rejected.
     """
-    centers = [min(c, n_bands - 1) for c in range(0, n_bands, window.step)]
-    bounds = []
-    for c in centers:
-        if window.width >= n_bands:
-            bounds.append((0, n_bands))
-        else:
-            lo = max(0, c - window.width // 2)
-            bounds.append((lo, min(n_bands, c - window.width // 2 + window.width)))
+    if window.width >= n_bands:
+        centers = [n_bands // 2]
+    else:
+        centers = [min(c, n_bands - 1) for c in range(0, n_bands, window.step)]
+    half = window.width // 2
+    bounds = [(max(0, c - half), min(n_bands, c - half + window.width)) for c in centers]
 
     kept: list[list[int]] = [[] for _ in centers]
     for b in range(n_bands):
@@ -87,6 +85,7 @@ def sliding_plan(n_bands: int, window: WindowSpec) -> list[WindowRun]:
     ]
 
 
+@_single_threaded_blas()
 def ccf_denoise(
     cube: ComplexCube,
     cfg: DenoiseConfig,

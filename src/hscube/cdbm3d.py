@@ -30,6 +30,7 @@ from __future__ import annotations
 
 import enum
 import math
+import numbers
 import threading
 from dataclasses import dataclass, replace
 
@@ -64,7 +65,9 @@ class DenoiseConfig:
 
     ``sigma`` is the total standard deviation of the complex noise in the
     image being filtered; leave it as None to have ``denoise_image`` fill it
-    in with the robust estimate from ``estimate_sigma``.
+    in with the robust estimate from ``estimate_sigma``.  Every field is
+    checked for type, finiteness and range on construction, and stored as an
+    int, a float or an enum member; ``InvalidConfig`` names the field.
     """
 
     patch_rows: int = 8
@@ -79,20 +82,36 @@ class DenoiseConfig:
     stages: Stages = Stages.THRESHOLD_PLUS_WIENER
 
     def __post_init__(self):
-        if self.patch_rows < 1 or self.patch_cols < 1:
-            raise InvalidConfig("patch dimensions must be positive")
-        if self.patch_step < 1:
-            raise InvalidConfig("patch step must be positive")
-        if self.search_radius < 0:
-            raise InvalidConfig("search radius must be nonnegative")
-        if self.max_group_size < 1:
-            raise InvalidConfig("group size cap must be at least 1")
-        if self.match_threshold is not None and self.match_threshold < 0:
-            raise InvalidConfig("match threshold must be nonnegative")
-        if self.hard_threshold_factor < 0:
-            raise InvalidConfig("hard threshold factor must be nonnegative")
-        if self.sigma is not None and self.sigma < 0:
-            raise InvalidConfig("sigma must be nonnegative")
+        for name, low in (("patch_rows", 1), ("patch_cols", 1), ("patch_step", 1),
+                          ("search_radius", 0), ("max_group_size", 1)):
+            object.__setattr__(self, name, _check_int(name, getattr(self, name), low))
+        for name in ("match_threshold", "hard_threshold_factor", "sigma"):
+            value = getattr(self, name)
+            if value is not None or name == "hard_threshold_factor":  # None leaves it unset
+                object.__setattr__(self, name, _check_real(name, value))
+        if not isinstance(self.variant, Variant):
+            raise InvalidConfig(f"variant: expected a Variant, got {self.variant!r}")
+        if not isinstance(self.stages, Stages):
+            raise InvalidConfig(f"stages: expected a Stages value, got {self.stages!r}")
+
+
+def _check_int(name: str, value, low: int) -> int:
+    """``value`` as an int of at least ``low``; bools are not integers here."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise InvalidConfig(f"{name}: expected an integer, got {value!r}")
+    if value < low:
+        raise InvalidConfig(f"{name}: must be at least {low}, got {value}")
+    return int(value)
+
+
+def _check_real(name: str, value) -> float:
+    """``value`` as a finite, nonnegative float."""
+    if (isinstance(value, bool) or not isinstance(value, numbers.Real)
+            or not math.isfinite(value)):
+        raise InvalidConfig(f"{name}: expected a finite number, got {value!r}")
+    if value < 0:
+        raise InvalidConfig(f"{name}: must be nonnegative, got {value}")
+    return float(value)
 
 
 @dataclass(eq=False)
@@ -491,23 +510,22 @@ def _collaborative_pass(match_image: np.ndarray, images, cfg: DenoiseConfig, shr
 
     Each bucket is summed on its own, from zero and in scatter order, and
     then added to the image sums, so the result does not depend on the
-    chunk size.  OpenBLAS is held at one thread for the whole pass: its
-    small batched calls gain nothing from more.
+    chunk size.  The pass sets no BLAS thread count of its own: the public
+    entry points that run it (``denoise_image``) hold OpenBLAS at one thread.
     """
     h, w = match_image.shape
     num = np.zeros((h, w), dtype=np.complex128)
     den = np.zeros((h, w), dtype=np.float64)
-    with _single_threaded_blas():
-        for bucket in _grouped_cores(match_image, images, cfg):
-            bucket_num, bucket_den = np.zeros_like(num), np.zeros_like(den)
-            for rows, cols, factors, cores in bucket:
-                core, weights = shrink(*cores)
-                est = _batched_transform(core, factors, forward=False)
-                if cfg.variant is Variant.IMRE_4D:
-                    est = from_imre(est)
-                _scatter(bucket_num, bucket_den, est, rows, cols, weights, w)
-            num += bucket_num
-            den += bucket_den
+    for bucket in _grouped_cores(match_image, images, cfg):
+        bucket_num, bucket_den = np.zeros_like(num), np.zeros_like(den)
+        for rows, cols, factors, cores in bucket:
+            core, weights = shrink(*cores)
+            est = _batched_transform(core, factors, forward=False)
+            if cfg.variant is Variant.IMRE_4D:
+                est = from_imre(est)
+            _scatter(bucket_num, bucket_den, est, rows, cols, weights, w)
+        num += bucket_num
+        den += bucket_den
     return num / den
 
 
@@ -547,6 +565,7 @@ def wiener_stage(image: np.ndarray, pilot: np.ndarray, cfg: DenoiseConfig) -> np
     return _collaborative_pass(pilot, [pilot, image], cfg, shrink)
 
 
+@_single_threaded_blas()
 def denoise_image(image: np.ndarray, cfg: DenoiseConfig) -> np.ndarray:
     """Run the configured stages on one complex image and return the estimate.
 
@@ -575,11 +594,10 @@ def _tail_mad(image: np.ndarray, probe: DenoiseConfig) -> float:
     deviation of real noise; a complex image's real and imaginary parts are
     pooled into the total complex deviation."""
     tail = []
-    with _single_threaded_blas():  # as in _collaborative_pass
-        for bucket in _grouped_cores(image, [image], probe):
-            for _, _, _, (core,) in bucket:
-                sl = tuple(slice(d // 2, None) for d in core.shape[1:])
-                tail.append(core[(slice(None),) + sl].ravel())
+    for bucket in _grouped_cores(image, [image], probe):
+        for _, _, _, (core,) in bucket:
+            sl = tuple(slice(d // 2, None) for d in core.shape[1:])
+            tail.append(core[(slice(None),) + sl].ravel())
     coeffs = np.concatenate(tail)
     if not np.any(image.imag):
         return float(np.median(np.abs(coeffs)) / 0.6745)
@@ -619,6 +637,7 @@ def _sigma_calibration(probe: DenoiseConfig, real: bool) -> float:
         return _SIGMA_CALIBRATION[key]
 
 
+@_single_threaded_blas()
 def estimate_sigma(image: np.ndarray, cfg: DenoiseConfig | None = None) -> float:
     """Robust noise estimate from the highest-frequency transform content.
 

@@ -1,8 +1,9 @@
 """Command-line interface: synthesize, corrupt, denoise, score, and sweep.
 
 Exit codes: 0 on success, 1 on runtime or numerical failure, 2 on usage or
-schema errors (argparse errors, out-of-range filter, window or thread
-settings, malformed manifests, shape mismatches, missing dispersion data).
+schema errors (argparse errors, out-of-range or non-finite filter, window,
+thread, noise or dispersion settings, non-positive wavelengths, malformed
+manifests, shape mismatches, missing dispersion data).
 """
 
 from __future__ import annotations
@@ -25,6 +26,7 @@ from .errors import (
     HscubeError,
     InvalidConfig,
     ManifestError,
+    NonPositiveWavelength,
 )
 from .evaluate import (
     METHOD_NAMES,
@@ -38,7 +40,9 @@ from .evaluate import (
 from .parallel import resolve_threads
 from .synth import DispersionModel, NoiseSpec, ObjectKind, add_noise, generate_truth
 
-USAGE_ERRORS = (ManifestError, DimensionMismatch, DispersionRequired, InvalidConfig)
+USAGE_ERRORS = (
+    ManifestError, DimensionMismatch, DispersionRequired, InvalidConfig, NonPositiveWavelength
+)
 
 
 def _add_dispersion_flag(parser):

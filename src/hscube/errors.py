@@ -10,7 +10,8 @@ class HscubeError(Exception):
 
 
 class InvalidConfig(HscubeError, ValueError):
-    """A configuration value (filter, window or thread count) is out of range."""
+    """A setting (filter, window, thread count, noise or dispersion) has the
+    wrong type, is not finite or is out of range."""
 
 
 class DimensionMismatch(HscubeError, ValueError):

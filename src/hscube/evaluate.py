@@ -11,15 +11,15 @@ from __future__ import annotations
 import csv
 import io
 import time
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field, fields, replace
 
 import numpy as np
 
 from .ccf import WindowSpec, ccf_denoise, ccf_sliding
 from .cdbm3d import DenoiseConfig, Stages, Variant, denoise_image, estimate_sigma
 from .cube import ComplexCube
-from .errors import DimensionMismatch, DispersionRequired, ManifestError, ZeroReference
-from .parallel import run_jobs
+from .errors import DimensionMismatch, DispersionRequired, InvalidConfig, ManifestError, ZeroReference
+from .parallel import _single_threaded_blas, run_jobs
 from .synth import (
     TWO_PI,
     DispersionModel,
@@ -222,44 +222,26 @@ def _need(mapping, key, kind, path):
     return value
 
 
-_CONFIG_FIELDS = {
-    "patch_rows": int,
-    "patch_cols": int,
-    "patch_step": int,
-    "search_radius": int,
-    "max_group_size": int,
-    "match_threshold": float,
-    "hard_threshold_factor": float,
-    "variant": str,
-    "stages": str,
-}
-
-
 def _parse_config(raw, path) -> DenoiseConfig:
-    kwargs = {}
-    for key, value in raw.items():
-        if key not in _CONFIG_FIELDS:
+    """DenoiseConfig from a manifest ``config`` object; the dataclass checks
+    every value, and its message names the field."""
+    if not isinstance(raw, dict):
+        raise ManifestError(f"{path[:-1]}: expected an object")
+    known = {f.name for f in fields(DenoiseConfig)} - {"sigma"}  # sigma comes from `sigmas`
+    kwargs = dict(raw)
+    for key in kwargs:
+        if key not in known:
             raise ManifestError(f"{path}{key}: unknown filter parameter")
-        want = _CONFIG_FIELDS[key]
-        if want is float and isinstance(value, int) and not isinstance(value, bool):
-            value = float(value)
-        if not isinstance(value, want) or isinstance(value, bool):
-            raise ManifestError(f"{path}{key}: expected {want.__name__}")
-        kwargs[key] = value
-    if "variant" in kwargs:
-        try:
-            kwargs["variant"] = Variant(kwargs["variant"])
-        except ValueError:
-            raise ManifestError(f"{path}variant: unknown variant {kwargs['variant']!r}")
-    if "stages" in kwargs:
-        try:
-            kwargs["stages"] = Stages(kwargs["stages"])
-        except ValueError:
-            raise ManifestError(f"{path}stages: unknown stages value {kwargs['stages']!r}")
+    for key, kind in (("variant", Variant), ("stages", Stages)):
+        if key in kwargs:
+            try:
+                kwargs[key] = kind(kwargs[key])
+            except ValueError:
+                raise ManifestError(f"{path}{key}: unknown {key} value {kwargs[key]!r}")
     try:
         return DenoiseConfig(**kwargs)
-    except ValueError as exc:
-        raise ManifestError(f"{path}: {exc}")
+    except InvalidConfig as exc:
+        raise ManifestError(f"{path}{exc}")
 
 
 def parse_manifest(doc: dict) -> Manifest:
@@ -329,10 +311,10 @@ def parse_manifest(doc: dict) -> Manifest:
         cfg = _parse_config(entry.get("config", {}), path + "config.")
         try:
             window = WindowSpec(
-                width=int(entry.get("window", WindowSpec.width)),
-                step=int(entry.get("step", WindowSpec.step)),
+                width=entry.get("window", WindowSpec.width),
+                step=entry.get("step", WindowSpec.step),
             )
-        except (TypeError, ValueError) as exc:
+        except InvalidConfig as exc:
             raise ManifestError(f"{path}window: {exc}")
         mode = entry.get("mode", MethodDef.average_mode)
         if mode not in ("global", "pairwise"):
@@ -429,6 +411,7 @@ class MetricsReport:
         return float(self.rrmse_amp_bands.mean())
 
 
+@_single_threaded_blas()
 def make_report(
     est: ComplexCube,
     truth: ComplexCube,

@@ -3,14 +3,15 @@
 Jobs are independent closures whose results are collected in submission
 order, so the assembled output never depends on the worker count.
 
-numpy's bundled OpenBLAS is held at one thread while the patch filter runs,
-at any thread count, and while a pool of more than one worker runs.  The
-filter's many small ``eigh`` and matmul calls gain nothing from BLAS threads,
-which only spin, and inside a pool they would also compete with the pool
-threads for the same cores.  The setting is process-global, so other threads
-of the process see one BLAS thread meanwhile; nested and concurrent holders
-share one saved count, which the last to leave restores.  Other BLAS builds
-(MKL, Accelerate) are left alone.
+numpy's bundled OpenBLAS is held at one thread for the whole run of every
+public computation (``denoise_image``, ``estimate_sigma``, ``ccf_denoise``,
+``make_report``) and of every pool of more than one worker, and nowhere
+inside them.  Small ``eigh`` and matmul calls gain nothing from BLAS threads,
+which only spin and, in a pool, compete with its threads for cores; and one
+thread keeps outputs independent of the BLAS thread count.  The setting is
+process-global, so other threads of the process see it meanwhile; nested and
+concurrent holders share one saved count, which the last to leave restores.
+Other BLAS builds (MKL, Accelerate) are left alone.
 """
 
 from __future__ import annotations

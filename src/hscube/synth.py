@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .cube import ComplexCube
-from .errors import DimensionMismatch, NonPositiveWavelength, OutOfBounds
+from .errors import DimensionMismatch, InvalidConfig, NonPositiveWavelength, OutOfBounds
 
 TWO_PI = 2.0 * np.pi
 
@@ -39,8 +39,8 @@ class DispersionModel:
     def __post_init__(self):
         lam = np.linspace(0.400, 0.798, 256)
         n = self.a0 + self.b0_um2 / lam**2 + self.c0_um4 / lam**4
-        if not np.all(n > 1.0):
-            raise ValueError("refractive index must stay above 1 over 400-798 nm")
+        if not np.all(np.isfinite(n) & (n > 1.0)):
+            raise InvalidConfig("refractive index must stay finite and above 1 over 400-798 nm")
 
 
 def bk7() -> DispersionModel:
@@ -229,7 +229,12 @@ def compound_spec(
     section_boundaries: tuple[float, float] = (1.0 / 3.0, 2.0 / 3.0),
 ) -> PhaseObjectSpec:
     """Three-section object: binary bar target, Gaussian peak, inclined
-    discontinuous surface; each section calibrated to an interferometric range."""
+    discontinuous surface; each section calibrated to an interferometric range.
+    The bar target needs at least 5 rows and 10 columns to draw one bar."""
+    if n_rows < 5 or n_cols < 10:
+        raise DimensionMismatch(
+            f"compound object needs at least 5 rows and 10 columns, got {n_rows}x{n_cols}"
+        )
     maps = (
         usaf_thickness(n_rows, n_cols),
         _gaussian_bump(n_rows, n_cols, (0.5 * (n_rows - 1), 0.5 * (n_cols - 1)), 0.14),
@@ -302,7 +307,7 @@ class NoiseSpec:
 
     def __post_init__(self):
         if not np.isfinite(self.sigma) or self.sigma < 0:
-            raise ValueError(f"sigma must be finite and nonnegative, got {self.sigma}")
+            raise InvalidConfig(f"sigma must be finite and nonnegative, got {self.sigma}")
 
 
 def add_noise(cube: ComplexCube, noise: NoiseSpec) -> ComplexCube:

@@ -76,6 +76,13 @@ class TestSlidingPlan:
         plan = sliding_plan(30, WindowSpec(width=70, step=12))
         assert all((run.band_lo, run.band_hi) == (0, 30) for run in plan)
 
+    def test_window_as_wide_as_the_cube_is_one_run(self):
+        for bands, width, step in [(30, 70, 12), (30, 30, 1), (1, 1, 1), (200, 260, 12)]:
+            (run,) = sliding_plan(bands, WindowSpec(width=width, step=step))
+            assert (run.center, run.band_lo, run.band_hi) == (bands // 2, 0, bands)
+            assert run.kept == tuple(range(bands))
+        assert len(sliding_plan(30, WindowSpec(width=29, step=1))) == 30
+
     def test_band_goes_to_nearest_center(self):
         plan = sliding_plan(50, WindowSpec(width=30, step=10))
         centers = {run.center: run for run in plan}
@@ -92,6 +99,7 @@ class TestSlidingPlan:
         except HscubeError:
             return
         assert sorted(b for run in plan for b in run.kept) == list(range(bands))
+        assert len({(run.band_lo, run.band_hi) for run in plan}) == len(plan)  # no rerun
         for run in plan:
             assert 0 <= run.band_lo < run.band_hi <= bands
             assert all(run.band_lo <= b < run.band_hi for b in run.kept)

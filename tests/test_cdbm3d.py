@@ -446,10 +446,24 @@ class TestStages:
 @pytest.mark.parametrize("field, value", [
     ("patch_rows", 0), ("patch_step", 0), ("search_radius", -1), ("max_group_size", 0),
     ("match_threshold", -0.1), ("hard_threshold_factor", -1.0), ("sigma", -0.5),
+    ("patch_rows", 2.5), ("patch_step", 2.0), ("patch_cols", "8"), ("search_radius", True),
+    ("max_group_size", None), ("sigma", math.nan), ("sigma", math.inf), ("sigma", "1"),
+    ("match_threshold", math.nan), ("hard_threshold_factor", math.inf),
+    ("hard_threshold_factor", None), ("hard_threshold_factor", False),
+    ("variant", "imre4d"), ("stages", "threshold"),
 ])
 def test_out_of_range_config_is_invalid(field, value):
-    with pytest.raises(InvalidConfig):
+    with pytest.raises(InvalidConfig, match=f"^{field}: "):
         DenoiseConfig(**{field: value})
+
+
+def test_config_stores_plain_numbers():
+    cfg = DenoiseConfig(patch_rows=np.int64(6), search_radius=np.uint8(4),
+                        hard_threshold_factor=3, sigma=np.float64(0.5), match_threshold=1)
+    values = (cfg.patch_rows, cfg.search_radius, cfg.hard_threshold_factor, cfg.sigma,
+              cfg.match_threshold)
+    assert values == (6, 4, 3.0, 0.5, 1.0)
+    assert [type(v) for v in values] == [int, int, float, float, float]
 
 
 class TestDenoiseImage:

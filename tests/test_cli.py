@@ -82,9 +82,21 @@ class TestSynth:
         assert top == pytest.approx(28.9, abs=1e-6)
         assert np.all(np.abs(np.angle(cube.data)) <= np.pi)
 
-    def test_bad_flags_exit_2(self, tmp_path):
-        res = run_cli("synth", "--object", "unknown", "--size", 8, 8, 4)
-        assert res.returncode == 2
+    @pytest.mark.parametrize("flags", [
+        ("--object", "unknown"),
+        ("--sigma", -1),
+        ("--sigma", "nan"),
+        ("--dispersion", "0.5,0"),
+        ("--lambda", 0, 500),
+        ("--object", "compound", "--size", 9, 9, 4),
+    ])
+    def test_bad_flags_exit_2(self, tmp_path, flags):
+        res = run_cli(  # a repeated flag takes its last value
+            "synth", "--object", "two-peak", "--size", 16, 16, 4, *flags,
+            "--out", tmp_path / "t.chsc", "--noisy-out", tmp_path / "n.chsc",
+        )
+        assert res.returncode == 2, res.stderr
+        assert "Traceback" not in res.stderr
 
 
 class TestDenoise:
@@ -125,15 +137,31 @@ class TestDenoise:
         )
         assert res.returncode == 0, res.stderr
 
-    @pytest.mark.parametrize("flags", [
-        ("--method", "ccf", "--patch", 0, 8),
-        ("--method", "ccf-sliding", "--window", 0),
+    @pytest.mark.parametrize("flags, field", [
+        (("--method", "ccf", "--patch", 0, 8), "patch_rows"),
+        (("--method", "ccf-sliding", "--window", 0), "width"),
+        (("--method", "ccf", "--match-threshold", "nan"), "match_threshold"),
+        (("--method", "ccf", "--hard-threshold", "inf"), "hard_threshold_factor"),
+        (("--method", "cdbm3d-slice", "--sigma", "nan"), "sigma"),
     ])
-    def test_out_of_range_setting_exit_2(self, synth_dir, tmp_path, flags):
+    def test_out_of_range_setting_exit_2(self, synth_dir, tmp_path, flags, field):
         res = run_cli("denoise", *flags, synth_dir / "noisy.chsc", tmp_path / "z.chsc")
         assert res.returncode == 2, res.stderr
-        assert res.stderr.startswith("error: ")
+        assert res.stderr.startswith(f"error: {field}: ")
         assert not (tmp_path / "z.chsc").exists()
+
+    def test_window_as_wide_as_the_cube_runs_once(self, synth_dir, tmp_path):
+        runs = {}
+        for name, flags in [("ccf", ()), ("ccf-sliding", ("--window", 12, "--step", 4))]:
+            out = tmp_path / f"{name}.chsc"
+            res = run_cli("denoise", "--method", name, *flags, "--threads", 2,
+                          synth_dir / "noisy.chsc", out)
+            assert res.returncode == 0, res.stderr
+            runs[name] = out.read_bytes(), json.loads((tmp_path / f"{name}.chsc.json").read_text())
+        assert runs["ccf-sliding"][0] == runs["ccf"][0]
+        (window,) = runs["ccf-sliding"][1]["windows"]
+        assert (window["band_lo"], window["band_hi"]) == (0, 12)
+        assert window["kept_bands"] == list(range(12))
 
     def test_non_integer_thread_variable_exit_2(self, synth_dir, tmp_path):
         import os

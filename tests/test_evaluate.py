@@ -198,6 +198,22 @@ class TestManifest:
             with pytest.raises(ManifestError, match=r"objects\[1\]\.kind: unknown object kind"):
                 parse_manifest(small_manifest(objects=["wrapped", {"kind": kind}]))
 
+    @pytest.mark.parametrize("method, where", [
+        pytest.param({"window": 8.7}, r"window: width: ", id="window-float"),
+        pytest.param({"window": True}, r"window: width: ", id="window-bool"),
+        pytest.param({"step": "8"}, r"window: step: ", id="step-string"),
+        pytest.param({"config": {"search_radius": True}}, r"config\.search_radius: ",
+                     id="radius-bool"),
+        pytest.param({"config": {"match_threshold": float("nan")}},
+                     r"config\.match_threshold: ", id="threshold-nan"),
+        pytest.param({"config": {"sigma": 1.0}}, r"config\.sigma: unknown", id="sigma"),
+        pytest.param({"config": {"variant": 4}}, r"config\.variant: unknown", id="variant"),
+        pytest.param({"config": [8]}, r"config: expected an object", id="config-list"),
+    ])
+    def test_settings_checked_by_their_dataclass(self, method, where):
+        with pytest.raises(ManifestError, match=r"^methods\[0\]\." + where):
+            parse_manifest(small_manifest(methods=[{"name": "ccf-sliding", **method}]))
+
     def test_defaults_come_from_the_dataclasses(self):
         m = parse_manifest(small_manifest(
             objects=[kind.value for kind in ObjectKind], methods=[{"name": "ccf-sliding"}]

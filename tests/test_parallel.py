@@ -4,7 +4,9 @@ import time
 import numpy as np
 import pytest
 
-from hscube import cdbm3d, parallel
+import hscube as hs
+from hscube import ccf, cdbm3d, evaluate, parallel
+from hscube.ccf import WindowSpec, ccf_denoise, ccf_sliding
 from hscube.cdbm3d import DenoiseConfig, denoise_image, estimate_sigma
 from hscube.errors import InvalidConfig
 from hscube.parallel import resolve_threads, run_jobs
@@ -117,22 +119,26 @@ def small_image():
     return rng.normal(size=(16, 16)) + 1j * rng.normal(size=(16, 16))
 
 
-@pytest.fixture
-def seen(monkeypatch, blas):
-    """BLAS thread counts seen by the matcher, the factors and both
-    shrinkers; the wrappers keep the names the benchmark hooks."""
-    get, _ = blas
+def record_blas(monkeypatch, get, module, names):
+    """BLAS thread counts seen by calls to ``module``'s functions ``names``."""
     counts = []
-    for name in ("_collect_groups", "_batched_factors", "hard_threshold_core",
-                 "wiener_shrink_core"):
-        original = getattr(cdbm3d, name)
+    for name in names:
+        original = getattr(module, name)
 
         def recording(*args, _original=original, **kwargs):
             counts.append(get())
             return _original(*args, **kwargs)
 
-        monkeypatch.setattr(cdbm3d, name, recording)
+        monkeypatch.setattr(module, name, recording)
     return counts
+
+
+@pytest.fixture
+def seen(monkeypatch, blas):
+    """BLAS thread counts seen by the matcher, the factors and both
+    shrinkers; the wrappers keep the names the benchmark hooks."""
+    names = ("_collect_groups", "_batched_factors", "hard_threshold_core", "wiener_shrink_core")
+    return record_blas(monkeypatch, blas[0], cdbm3d, names)
 
 
 class TestFilterHoldsBlas:
@@ -141,7 +147,7 @@ class TestFilterHoldsBlas:
         denoise_image(small_image(), SMALL)
         assert seen and set(seen) == {1}
         assert get() == 2
-        assert sets == [1, 2] * 2  # threshold pass, Wiener pass
+        assert sets == [1, 2]  # once per call, not per pass
 
     def test_sigma_probe_outside_a_pool(self, blas, seen, monkeypatch):
         get, sets = blas
@@ -149,7 +155,7 @@ class TestFilterHoldsBlas:
         assert estimate_sigma(small_image(), SMALL) > 0
         assert seen and set(seen) == {1}
         assert get() == 2
-        assert sets == [1, 2] * 2  # the image's probe, then the calibration's
+        assert sets == [1, 2]  # the calibration probe runs inside the same hold
 
     def test_count_restored_when_the_pass_raises(self, blas, monkeypatch):
         get, sets = blas
@@ -171,6 +177,58 @@ class TestFilterHoldsBlas:
         assert seen and set(seen) == {1}
         assert get() == 2
         assert sets == [1, 2]  # the pool's own hold only
+
+
+def small_cube():
+    model = hs.bk7()
+    spec = hs.two_peak_spec(16, 16, model)
+    truth = hs.generate_truth(spec, model, (16, 16), hs.default_wavelengths(8))
+    return truth, hs.add_noise(truth, hs.NoiseSpec(0.5, 3))
+
+
+SUBSPACE_STEPS = ("identify_subspace", "project", "back_project")
+
+
+class TestComputationsHoldBlas:
+    """Each public computation holds one BLAS thread for its whole run, also
+    outside a pool, and the caller's count comes back afterwards."""
+
+    def test_ccf_denoise_subspace_steps(self, blas, monkeypatch):
+        get, sets = blas
+        seen = record_blas(monkeypatch, get, ccf, SUBSPACE_STEPS)
+        ccf_denoise(small_cube()[1], SMALL, threads=1)
+        assert len(seen) == 3 and set(seen) == {1}
+        assert get() == 2
+        assert sets == [1, 2]
+
+    def test_ccf_sliding_subspace_steps(self, blas, monkeypatch):
+        get, sets = blas
+        seen = record_blas(monkeypatch, get, ccf, SUBSPACE_STEPS)
+        ccf_sliding(small_cube()[1], SMALL, WindowSpec(6, 3), threads=1)
+        assert len(seen) == 3 * 3 and set(seen) == {1}  # three windows
+        assert get() == 2
+
+    def test_report_metrics(self, blas, monkeypatch):
+        get, sets = blas
+        seen = record_blas(monkeypatch, get, evaluate, ["rrmse_phase"])
+        truth, noisy = small_cube()
+        evaluate.make_report(noisy, truth, 0.0, object_name="o", method="m",
+                             sigma=None, seed=None)
+        assert seen == [1] * truth.n_bands
+        assert get() == 2
+        assert sets == [1, 2]
+
+    def test_count_restored_when_ccf_denoise_raises(self, blas, monkeypatch):
+        get, sets = blas
+
+        def boom(zeig, basis):
+            raise RuntimeError("back-projection failed")
+
+        monkeypatch.setattr(ccf, "back_project", boom)
+        with pytest.raises(RuntimeError, match="back-projection failed"):
+            ccf_denoise(small_cube()[1], SMALL, threads=1)
+        assert get() == 2
+        assert sets == [1, 2]
 
 
 def test_non_integer_thread_variable_is_invalid(monkeypatch):

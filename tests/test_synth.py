@@ -1,10 +1,12 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import hscube as hs
-from hscube.errors import DimensionMismatch, NonPositiveWavelength, OutOfBounds
+from hscube.errors import DimensionMismatch, InvalidConfig, NonPositiveWavelength, OutOfBounds
 from hscube.synth import ObjectKind, PhaseObjectSpec
 
 
@@ -30,9 +32,10 @@ class TestDispersion:
         with pytest.raises(NonPositiveWavelength):
             hs.refractive_index(model, 0.0)
 
-    def test_rejects_model_with_index_below_one(self):
-        with pytest.raises(ValueError):
-            hs.DispersionModel(a0=0.9, b0_um2=0.0)
+    @pytest.mark.parametrize("a0", [0.9, math.inf, math.nan])
+    def test_rejects_model_with_index_below_one(self, a0):
+        with pytest.raises(InvalidConfig):
+            hs.DispersionModel(a0=a0, b0_um2=0.0)
 
 
 class TestWrapPhase:
@@ -104,6 +107,12 @@ class TestPhaseObjects:
             assert np.array_equal(phase > 1e-9, first > 0)
         assert len({m.tobytes() for m in spec.thickness_maps}) == 3
 
+    def test_compound_minimum_size(self, model):
+        hs.compound_spec(5, 10, model)
+        for rows, cols in [(4, 29), (29, 9), (1, 1)]:
+            with pytest.raises(DimensionMismatch, match="at least 5 rows and 10 columns"):
+                hs.compound_spec(rows, cols, model)
+
     def test_compound_needs_three_maps(self):
         with pytest.raises(DimensionMismatch):
             PhaseObjectSpec(kind=ObjectKind.COMPOUND, thickness_maps=(np.zeros((4, 4)),))
@@ -150,6 +159,11 @@ class TestGenerateTruth:
 
 
 class TestNoise:
+    @pytest.mark.parametrize("sigma", [-1.0, math.nan, math.inf])
+    def test_rejects_bad_sigma(self, sigma):
+        with pytest.raises(InvalidConfig, match="sigma"):
+            hs.NoiseSpec(sigma=sigma)
+
     def test_sigma_zero_is_identity(self, model):
         spec = hs.two_peak_spec(8, 8, model)
         truth = hs.generate_truth(spec, model, (8, 8), hs.default_wavelengths(4))
