@@ -59,29 +59,25 @@ def sliding_plan(n_bands: int, window: WindowSpec) -> list[WindowRun]:
     plan is rejected.
     """
     if window.width >= n_bands:
-        centers = [n_bands // 2]
+        centers = np.array([n_bands // 2])
     else:
-        centers = [min(c, n_bands - 1) for c in range(0, n_bands, window.step)]
-    half = window.width // 2
-    bounds = [(max(0, c - half), min(n_bands, c - half + window.width)) for c in centers]
-
-    kept: list[list[int]] = [[] for _ in centers]
-    for b in range(n_bands):
-        best = None
-        for ci, (c, (lo, hi)) in enumerate(zip(centers, bounds)):
-            if lo <= b < hi:
-                key = (abs(b - c), c)
-                if best is None or key < best[0]:
-                    best = (key, ci)
-        if best is None:
-            raise DimensionMismatch(
-                f"band {b} is not covered by any window "
-                f"(width={window.width}, step={window.step})"
-            )
-        kept[best[1]].append(b)
+        centers = np.arange(0, n_bands, window.step)
+    start = centers - window.width // 2
+    lo, hi = np.maximum(0, start), np.minimum(n_bands, start + window.width)
+    bands = np.arange(n_bands)[:, None]
+    covers = (lo <= bands) & (bands < hi)
+    # the nearest covering center; argmin takes the first, the lower, on a tie
+    owner = np.where(covers, np.abs(bands - centers), n_bands).argmin(axis=1)
+    uncovered = np.flatnonzero(~covers.any(axis=1))
+    if uncovered.size:
+        raise DimensionMismatch(
+            f"band {uncovered[0]} is not covered by any window "
+            f"(width={window.width}, step={window.step})"
+        )
     return [
-        WindowRun(center=c, band_lo=lo, band_hi=hi, kept=tuple(k))
-        for c, (lo, hi), k in zip(centers, bounds, kept)
+        WindowRun(center=int(c), band_lo=int(l), band_hi=int(h),
+                  kept=tuple(np.flatnonzero(owner == ci).tolist()))
+        for ci, (c, l, h) in enumerate(zip(centers, lo, hi))
     ]
 
 

@@ -470,12 +470,11 @@ def _grouped_cores(match_image: np.ndarray, images, cfg: DenoiseConfig):
     """Match on ``match_image`` and group every image in ``images`` at the
     matched corners.
 
-    Yields one iterator per bucket of equal-size groups, which gathers and
-    transforms the bucket in chunks of at most ``_CHUNK_BYTES`` of group
-    tensor (at least one group).  Each step
-    yields (rows, cols, factors, cores): the (G, K) member corners, the
-    per-mode factors of the first image's groups, and the forward transform
-    of each image's groups in those factors.  Groups keep their gather order
+    Yields the groups bucket by bucket of equal size, in chunks of at most
+    ``_CHUNK_BYTES`` of group tensor (at least one group).  Each chunk is
+    (rows, cols, factors, cores): the (G, K) member corners, the per-mode
+    factors of the first image's groups, and the forward transform of each
+    image's groups in those factors.  Groups keep their gather order
     (G, K, patch_rows, patch_cols); under ImRe4D they carry a trailing
     [re, im] mode, whose factor is the identity (None) when every image is
     real.  Every step works per group, so the chunk size does not change a
@@ -485,8 +484,7 @@ def _grouped_cores(match_image: np.ndarray, images, cfg: DenoiseConfig):
     groups = _collect_groups(match_image, cfg)
     imre = cfg.variant is Variant.IMRE_4D
     real_only = imre and not any(np.any(im.imag) for im in images)
-
-    def chunks(indices):
+    for indices in _bucket_by_size(groups).values():
         group_bytes = groups[indices[0]][0].size * cfg.patch_rows * cfg.patch_cols * 16
         step = max(1, _CHUNK_BYTES // group_bytes)
         for start in range(0, len(indices), step):
@@ -500,32 +498,25 @@ def _grouped_cores(match_image: np.ndarray, images, cfg: DenoiseConfig):
             cores = [core] + [_batched_transform(t, factors, forward=True) for t in tensors[1:]]
             yield rows, cols, factors, cores
 
-    for indices in _bucket_by_size(groups).values():
-        yield chunks(indices)
-
 
 def _collaborative_pass(match_image: np.ndarray, images, cfg: DenoiseConfig, shrink) -> np.ndarray:
     """Shrink every group with ``shrink(*cores) -> (core, weights)``, invert
     and average the weighted patch estimates back into the image.
 
-    Each bucket is summed on its own, from zero and in scatter order, and
-    then added to the image sums, so the result does not depend on the
-    chunk size.  The pass sets no BLAS thread count of its own: the public
-    entry points that run it (``denoise_image``) hold OpenBLAS at one thread.
+    Chunks are added straight into the image sums, and ``np.add.at`` sums in
+    scatter order across chunks, so the result does not depend on the chunk
+    size.  The pass sets no BLAS thread count of its own: the public entry
+    points that run it (``denoise_image``) hold OpenBLAS at one thread.
     """
     h, w = match_image.shape
     num = np.zeros((h, w), dtype=np.complex128)
     den = np.zeros((h, w), dtype=np.float64)
-    for bucket in _grouped_cores(match_image, images, cfg):
-        bucket_num, bucket_den = np.zeros_like(num), np.zeros_like(den)
-        for rows, cols, factors, cores in bucket:
-            core, weights = shrink(*cores)
-            est = _batched_transform(core, factors, forward=False)
-            if cfg.variant is Variant.IMRE_4D:
-                est = from_imre(est)
-            _scatter(bucket_num, bucket_den, est, rows, cols, weights, w)
-        num += bucket_num
-        den += bucket_den
+    for rows, cols, factors, cores in _grouped_cores(match_image, images, cfg):
+        core, weights = shrink(*cores)
+        est = _batched_transform(core, factors, forward=False)
+        if cfg.variant is Variant.IMRE_4D:
+            est = from_imre(est)
+        _scatter(num, den, est, rows, cols, weights, w)
     return num / den
 
 
@@ -594,10 +585,9 @@ def _tail_mad(image: np.ndarray, probe: DenoiseConfig) -> float:
     deviation of real noise; a complex image's real and imaginary parts are
     pooled into the total complex deviation."""
     tail = []
-    for bucket in _grouped_cores(image, [image], probe):
-        for _, _, _, (core,) in bucket:
-            sl = tuple(slice(d // 2, None) for d in core.shape[1:])
-            tail.append(core[(slice(None),) + sl].ravel())
+    for _, _, _, (core,) in _grouped_cores(image, [image], probe):
+        sl = tuple(slice(d // 2, None) for d in core.shape[1:])
+        tail.append(core[(slice(None),) + sl].ravel())
     coeffs = np.concatenate(tail)
     if not np.any(image.imag):
         return float(np.median(np.abs(coeffs)) / 0.6745)

@@ -90,13 +90,6 @@ class ComplexCube:
             raise DimensionMismatch(f"band {index} outside [0, {self.n_bands})")
         return self.data[:, :, index]
 
-    def allclose(self, other: "ComplexCube", rtol=1e-12, atol=0.0) -> bool:
-        return (
-            self.shape == other.shape
-            and np.array_equal(self.wavelengths, other.wavelengths)
-            and np.allclose(self.data, other.data, rtol=rtol, atol=atol)
-        )
-
 
 @dataclass(eq=False)
 class SpectralMatrix:

@@ -400,7 +400,6 @@ class MetricsReport:
     p_per_band: np.ndarray  # -1 where no subspace was involved
     snr_input_db: float
     seconds: float = 0.0
-    config: dict | None = None
 
     @property
     def mean_rrmse_phase(self) -> float:
@@ -425,7 +424,6 @@ def make_report(
     step: int | None = None,
     diagnostics: list | None = None,
     seconds: float = 0.0,
-    config: dict | None = None,
 ) -> MetricsReport:
     bands = truth.n_bands
     p_per_band = np.full(bands, -1, dtype=np.int64)
@@ -445,7 +443,6 @@ def make_report(
         p_per_band=p_per_band,
         snr_input_db=noisy_snr,
         seconds=seconds,
-        config=config,
     )
 
 
@@ -490,7 +487,6 @@ def run_experiment(manifest: Manifest, threads: int = 1, measure_time: bool = Fa
                                 step=method.window.step if uses_window else None,
                                 diagnostics=diags,
                                 seconds=dt,
-                                config=config_snapshot(method.config),
                             )
                         )
                     except Exception as exc:  # noqa: BLE001 - isolate combination failures
@@ -562,8 +558,7 @@ def _parse_opt(text: str, kind):
 
 
 def read_csv(source) -> list[MetricsReport]:
-    """Parse a metrics CSV back into reports (config snapshots are not part
-    of the CSV schema and come back as None)."""
+    """Parse a metrics CSV back into reports."""
     own = isinstance(source, (str, bytes)) or hasattr(source, "__fspath__")
     handle = open(source, "r", newline="") if own else source
     try:

@@ -103,6 +103,10 @@ class TestSlidingPlan:
         for run in plan:
             assert 0 <= run.band_lo < run.band_hi <= bands
             assert all(run.band_lo <= b < run.band_hi for b in run.kept)
+            # the owner is the nearest covering center, the lower one on a tie
+            for b in run.kept:
+                covering = [r.center for r in plan if r.band_lo <= b < r.band_hi]
+                assert run.center == min(covering, key=lambda c: (abs(b - c), c))
 
     def test_uncoverable_band_rejected(self):
         with pytest.raises(ValueError):

@@ -579,13 +579,61 @@ class TestGroupChunks:
         img = random_field(np.random.default_rng(20), (40, 40))
         cfg = DenoiseConfig()
         sizes = {}
-        for bucket in cdbm3d._grouped_cores(img, [img], cfg):
-            for rows, _, _, (core,) in bucket:
-                sizes.setdefault(rows.shape[1], []).append(rows.shape[0])
-                assert core.nbytes <= max(cdbm3d._CHUNK_BYTES, core[:1].nbytes)
+        for rows, _, _, (core,) in cdbm3d._grouped_cores(img, [img], cfg):
+            sizes.setdefault(rows.shape[1], []).append(rows.shape[0])
+            assert core.nbytes <= max(cdbm3d._CHUNK_BYTES, core[:1].nbytes)
         # a full chunk of the largest groups is as large as the budget allows
         full_group = cfg.max_group_size * cfg.patch_rows * cfg.patch_cols * 16
         assert max(sizes[cfg.max_group_size]) == cdbm3d._CHUNK_BYTES // full_group
+
+    def test_chunks_come_bucket_by_bucket(self):
+        rng = np.random.default_rng(18)
+        img = np.cumsum(random_field(rng, (36, 36)), axis=0) + 2.0 * random_field(rng, (36, 36))
+        cfg = DenoiseConfig(match_threshold=20.0)
+        buckets = cdbm3d._bucket_by_size(cdbm3d._collect_groups(img, cfg))
+        sizes = [rows.shape[1] for rows, _, _, _ in cdbm3d._grouped_cores(img, [img], cfg)]
+        assert len(buckets) > 1
+        assert [k for k, _ in itertools.groupby(sizes)] == list(buckets)
+
+    @staticmethod
+    def bucket_sums_pass(match_image, images, cfg, shrink):
+        """The collaborative pass as it summed each bucket of equal-size
+        groups from zero before adding it to the image sums."""
+        h, w = match_image.shape
+        num = np.zeros((h, w), dtype=np.complex128)
+        den = np.zeros((h, w), dtype=np.float64)
+        chunks = cdbm3d._grouped_cores(match_image, images, cfg)
+        for _, bucket in itertools.groupby(chunks, key=lambda chunk: chunk[0].shape[1]):
+            bucket_num, bucket_den = np.zeros_like(num), np.zeros_like(den)
+            for rows, cols, factors, cores in bucket:
+                core, weights = shrink(*cores)
+                est = cdbm3d._batched_transform(core, factors, forward=False)
+                if cfg.variant is Variant.IMRE_4D:
+                    est = cdbm3d.from_imre(est)
+                cdbm3d._scatter(bucket_num, bucket_den, est, rows, cols, weights, w)
+            num += bucket_num
+            den += bucket_den
+        return num / den
+
+    @pytest.mark.parametrize("threshold", [16.0, 24.0, 30.0])
+    @pytest.mark.parametrize("variant", list(Variant))
+    def test_flat_stream_matches_bucket_sums(self, variant, threshold, monkeypatch):
+        # groups of several sizes are summed straight into the image, so their
+        # buckets meet in another order than when each was summed alone: a
+        # few ulps of the largest sample (at most 2.0e-15 of it over three
+        # images, both variants and six thresholds).  Each stage is compared
+        # on its own; a second stage would refactor a pilot moved by rounding.
+        rng = np.random.default_rng(18)
+        img = np.cumsum(random_field(rng, (36, 36)), axis=0) + 2.0 * random_field(rng, (36, 36))
+        cfg = DenoiseConfig(variant=variant, match_threshold=threshold, sigma=2.0)
+        pilot = threshold_stage(img, cfg)
+        for stage, args in ((threshold_stage, (img,)), (wiener_stage, (img, pilot))):
+            assert len(cdbm3d._bucket_by_size(cdbm3d._collect_groups(args[-1], cfg))) > 1
+            out = stage(*args, cfg)
+            with monkeypatch.context() as m:
+                m.setattr(cdbm3d, "_collaborative_pass", self.bucket_sums_pass)
+                expected = stage(*args, cfg)
+            assert np.max(np.abs(out - expected)) <= 1e-14 * np.max(np.abs(expected))
 
     def test_peak_memory_does_not_grow_with_buckets(self):
         img = random_field(np.random.default_rng(19), (64, 64))
