@@ -18,7 +18,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .cdbm3d import DenoiseConfig, _check_int, _ldexp, _scale_exponent, denoise_image
+from .cdbm3d import DenoiseConfig, _check_int, _ldexp, _rescaled, _scale_exponent, denoise_image
 from .cube import ComplexCube, SpectralMatrix, reshape_to_cube, reshape_to_matrix
 from .errors import DimensionMismatch
 from .parallel import _single_threaded_blas, run_jobs
@@ -58,27 +58,20 @@ def sliding_plan(n_bands: int, window: WindowSpec) -> list[WindowRun]:
     them; when the width/step combination leaves some band uncovered the
     plan is rejected.
     """
-    if window.width >= n_bands:
-        centers = np.array([n_bands // 2])
-    else:
-        centers = np.arange(0, n_bands, window.step)
+    wide = window.width >= n_bands
+    centers = np.array([n_bands // 2]) if wide else np.arange(0, n_bands, window.step)
     start = centers - window.width // 2
     lo, hi = np.maximum(0, start), np.minimum(n_bands, start + window.width)
     bands = np.arange(n_bands)[:, None]
     covers = (lo <= bands) & (bands < hi)
     # the nearest covering center; argmin takes the first, the lower, on a tie
     owner = np.where(covers, np.abs(bands - centers), n_bands).argmin(axis=1)
-    uncovered = np.flatnonzero(~covers.any(axis=1))
-    if uncovered.size:
-        raise DimensionMismatch(
-            f"band {uncovered[0]} is not covered by any window "
-            f"(width={window.width}, step={window.step})"
-        )
-    return [
-        WindowRun(center=int(c), band_lo=int(l), band_hi=int(h),
-                  kept=tuple(np.flatnonzero(owner == ci).tolist()))
-        for ci, (c, l, h) in enumerate(zip(centers, lo, hi))
-    ]
+    covered = covers.any(axis=1)
+    if not covered.all():
+        raise DimensionMismatch(f"band {covered.argmin()} is not covered by any window "
+                                f"(width={window.width}, step={window.step})")
+    return [WindowRun(c, l, h, tuple(np.flatnonzero(owner == i).tolist()))
+            for i, (c, l, h) in enumerate(zip(centers.tolist(), lo.tolist(), hi.tolist()))]
 
 
 @_single_threaded_blas()
@@ -93,14 +86,15 @@ def ccf_denoise(
     ``cfg.sigma`` is ignored; each eigenimage is filtered with the noise
     level implied by the estimated noise correlation.  When ``diagnostics``
     is a list, a JSON-ready summary of the subspace decision is appended.
-    A cube whose largest magnitude leaves [2^-400, 2^400) is filtered at the
-    power-of-two scale that brings it to [1/2, 1), as in ``denoise_image``;
-    its output and diagnostics are scaled back.
+    A cube whose largest magnitude leaves [2^-400, 2^400) is filtered, with
+    its ``match_threshold``, at the power-of-two scale that brings it to
+    [1/2, 1), as in ``denoise_image``; its output and diagnostics are scaled back.
     """
     shift = _scale_exponent(cube.data)
     z = reshape_to_matrix(cube)
     if shift:  # the entries may be a view of the caller's samples
         z = replace(z, entries=_ldexp(z.entries, -shift))
+        cfg = _rescaled(replace(cfg, sigma=None), -shift)  # sigma is set per eigenimage
     basis = identify_subspace(z)
     zeig = project(z, basis)
     images = zeig.entries.reshape(basis.p, cube.n_rows, cube.n_cols)

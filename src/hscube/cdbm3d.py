@@ -22,8 +22,7 @@ at the start of the next.  The filter's memory does not grow with the image
 beyond its image-sized accumulators and match lists.  Batched groups stay
 in gather order (K, rows, cols, then [re, im] under ImRe4D), and every mode
 product and mode Gram is one stacked GEMM on the last axis of a contiguous
-stack, with no unfolding copy (``_contract_last``).  Outputs match the
-earlier unfolding implementation to rounding, not bit for bit.
+stack, with no unfolding copy (``_contract_last``).
 """
 
 from __future__ import annotations
@@ -463,6 +462,19 @@ def _ldexp_scalar(x: float, e: int) -> float:
         raise ResultOverflow(f"{x} scaled by 2^{e} exceeds the float64 range") from None
 
 
+def _rescaled(cfg: DenoiseConfig, e: int) -> DenoiseConfig:
+    """``cfg`` for the image scaled by 2^e: ``sigma`` by 2^e and
+    ``match_threshold``, a squared distance, by 2^2e; a threshold scaled
+    beyond the float64 range cuts nothing, so it becomes None."""
+    threshold = cfg.match_threshold
+    try:
+        threshold = None if threshold is None else math.ldexp(threshold, 2 * e)
+    except OverflowError:
+        threshold = None
+    sigma = None if cfg.sigma is None else _ldexp_scalar(cfg.sigma, e)
+    return replace(cfg, sigma=sigma, match_threshold=threshold)
+
+
 _CHUNK_BYTES = 512 * 1024  # bytes of one chunk's gathered group tensor
 
 
@@ -503,10 +515,9 @@ def _collaborative_pass(match_image: np.ndarray, images, cfg: DenoiseConfig, shr
     """Shrink every group with ``shrink(*cores) -> (core, weights)``, invert
     and average the weighted patch estimates back into the image.
 
-    Chunks are added straight into the image sums, and ``np.add.at`` sums in
-    scatter order across chunks, so the result does not depend on the chunk
-    size.  The pass sets no BLAS thread count of its own: the public entry
-    points that run it (``denoise_image``) hold OpenBLAS at one thread.
+    Chunks are added straight into the image sums, which ``np.add.at`` sums
+    in scatter order, so the chunk size does not change a bit.  The pass
+    sets no BLAS thread count: ``denoise_image`` holds OpenBLAS at one thread.
     """
     h, w = match_image.shape
     num = np.zeros((h, w), dtype=np.complex128)
@@ -551,7 +562,8 @@ def wiener_stage(image: np.ndarray, pilot: np.ndarray, cfg: DenoiseConfig) -> np
     def shrink(core_pilot, core_noisy):
         core, attenuation = wiener_shrink_core(core_noisy, core_pilot, sigma)
         energy = attenuation.reshape(attenuation.shape[0], -1)
-        return core, 1.0 / (sigma * sigma * np.einsum("gi,gi->g", energy, energy) + AGG_EPS)
+        # 1 / (sigma^2 sum a^2) less the sigma^2 every group shares, which cancels
+        return core, 1.0 / (np.einsum("gi,gi->g", energy, energy) + AGG_EPS)
 
     return _collaborative_pass(pilot, [pilot, image], cfg, shrink)
 
@@ -561,15 +573,14 @@ def denoise_image(image: np.ndarray, cfg: DenoiseConfig) -> np.ndarray:
     """Run the configured stages on one complex image and return the estimate.
 
     An image whose largest magnitude leaves [2^-400, 2^400) is filtered,
-    with its sigma, at the power-of-two scale that brings it to [1/2, 1),
-    and the estimate is scaled back.
+    with its sigma and match threshold, at the power-of-two scale that
+    brings it to [1/2, 1), and the estimate is scaled back.
     """
     image = _check_image(image, cfg)
     shift = _scale_exponent(image)
     if shift:
         image = _ldexp(image, -shift)
-        if cfg.sigma is not None:
-            cfg = replace(cfg, sigma=_ldexp_scalar(cfg.sigma, -shift))
+        cfg = _rescaled(cfg, -shift)
     if cfg.sigma is None:
         cfg = replace(cfg, sigma=estimate_sigma(image, cfg))
     est = threshold_stage(image, cfg)

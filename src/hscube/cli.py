@@ -16,7 +16,7 @@ import time
 
 import numpy as np
 
-from . import evaluate
+from . import evaluate, synth
 from .ccf import WindowSpec
 from .cdbm3d import DenoiseConfig, Stages, Variant
 from .cube import read_cube, write_cube
@@ -175,18 +175,18 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def cmd_synth(args) -> int:
     model = _model_from(args)
-    n, m, l = args.size
-    wavelengths = np.linspace(args.lambda_nm[0], args.lambda_nm[1], l)
+    (n, m, l), (lo, hi) = synth._check_geometry(args.size, args.lambda_nm)
     obj = ObjectDef(
         kind=ObjectKind(args.object),
         name=args.object,
         target_phase=args.target_phase,
         max_phase=args.max_phase,
     )
-    spec = obj.build(n, m, model, args.lambda_nm[0])
-    truth = generate_truth(spec, model, (n, m), wavelengths)
+    noise = NoiseSpec(sigma=args.sigma, seed=args.seed)
+    spec = obj.build(n, m, model, lo)
+    truth = generate_truth(spec, model, (n, m), np.linspace(lo, hi, l))
     write_cube(truth, args.out)
-    noisy = add_noise(truth, NoiseSpec(sigma=args.sigma, seed=args.seed))
+    noisy = add_noise(truth, noise)
     write_cube(noisy, args.noisy_out)
     snr = evaluate.snr_db(noisy, truth)
     print(f"wrote {args.out} and {args.noisy_out} ({n}x{m}x{l})")

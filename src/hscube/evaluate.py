@@ -8,6 +8,7 @@ row per combination with band_index = -1).
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import io
 import time
@@ -16,7 +17,7 @@ from dataclasses import asdict, dataclass, field, fields, replace
 import numpy as np
 
 from .ccf import WindowSpec, ccf_denoise, ccf_sliding
-from .cdbm3d import DenoiseConfig, Stages, Variant, denoise_image, estimate_sigma
+from .cdbm3d import DenoiseConfig, Stages, Variant, _check_real, denoise_image, estimate_sigma
 from .cube import ComplexCube
 from .errors import DimensionMismatch, DispersionRequired, InvalidConfig, ManifestError, ZeroReference
 from .parallel import _single_threaded_blas, run_jobs
@@ -25,6 +26,7 @@ from .synth import (
     DispersionModel,
     NoiseSpec,
     ObjectKind,
+    _check_geometry,
     add_noise,
     compound_spec,
     generate_truth,
@@ -173,6 +175,10 @@ class ObjectDef:
     target_phase: float = 2.8
     max_phase: float = 28.9
 
+    def __post_init__(self):
+        for name in ("target_phase", "max_phase"):
+            object.__setattr__(self, name, _check_real(name, getattr(self, name)))
+
     def build(self, n_rows: int, n_cols: int, model: DispersionModel, lambda_min: float):
         if self.kind is ObjectKind.TWO_PEAK:
             return two_peak_spec(n_rows, n_cols, model, lambda_min, self.target_phase)
@@ -197,7 +203,6 @@ class MethodDef:
 
 @dataclass(frozen=True)
 class Manifest:
-    schema_version: int
     n_rows: int
     n_cols: int
     n_bands: int
@@ -215,11 +220,18 @@ def _need(mapping, key, kind, path):
     if key not in mapping:
         raise ManifestError(f"{path}{key}: missing required field")
     value = mapping[key]
-    if kind is float and isinstance(value, int) and not isinstance(value, bool):
-        value = float(value)
     if not isinstance(value, kind) or isinstance(value, bool):
         raise ManifestError(f"{path}{key}: expected {kind.__name__}, got {type(value).__name__}")
     return value
+
+
+@contextlib.contextmanager
+def _setting(path: str):
+    """Re-raise a setting's own ``InvalidConfig`` as a ``ManifestError`` at ``path``."""
+    try:
+        yield
+    except InvalidConfig as exc:
+        raise ManifestError(f"{path}{exc}")
 
 
 def _parse_config(raw, path) -> DenoiseConfig:
@@ -238,10 +250,8 @@ def _parse_config(raw, path) -> DenoiseConfig:
                 kwargs[key] = kind(kwargs[key])
             except ValueError:
                 raise ManifestError(f"{path}{key}: unknown {key} value {kwargs[key]!r}")
-    try:
+    with _setting(path):
         return DenoiseConfig(**kwargs)
-    except InvalidConfig as exc:
-        raise ManifestError(f"{path}{exc}")
 
 
 def parse_manifest(doc: dict) -> Manifest:
@@ -252,12 +262,8 @@ def parse_manifest(doc: dict) -> Manifest:
     if version != 1:
         raise ManifestError(f"schema_version: unsupported version {version}")
 
-    size = _need(doc, "size", list, "")
-    if len(size) != 3 or not all(isinstance(v, int) and v > 0 for v in size):
-        raise ManifestError("size: expected three positive integers [rows, cols, bands]")
-    lam = _need(doc, "lambda_nm", list, "")
-    if len(lam) != 2 or not all(isinstance(v, (int, float)) for v in lam) or lam[0] >= lam[1]:
-        raise ManifestError("lambda_nm: expected [lo, hi] with lo < hi")
+    with _setting(""):
+        size, lam = _check_geometry(_need(doc, "size", list, ""), _need(doc, "lambda_nm", list, ""))
 
     disp_raw = doc.get("dispersion", {})
     if not isinstance(disp_raw, dict):
@@ -284,21 +290,23 @@ def parse_manifest(doc: dict) -> Manifest:
             kind = ObjectKind(kind_name)
         except ValueError:
             raise ManifestError(f"{path}kind: unknown object kind {kind_name!r}")
-        objects.append(
-            ObjectDef(
-                kind=kind,
-                name=str(entry.get("name", kind_name)),
-                target_phase=float(entry.get("target_phase", ObjectDef.target_phase)),
-                max_phase=float(entry.get("max_phase", ObjectDef.max_phase)),
+        with _setting(path):
+            objects.append(
+                ObjectDef(
+                    kind=kind,
+                    name=str(entry.get("name", kind_name)),
+                    target_phase=entry.get("target_phase", ObjectDef.target_phase),
+                    max_phase=entry.get("max_phase", ObjectDef.max_phase),
+                )
             )
-        )
 
     sigmas = _need(doc, "sigmas", list, "")
     if not all(isinstance(s, (int, float)) and s >= 0 for s in sigmas):
         raise ManifestError("sigmas: every entry must be a nonnegative number")
     seeds = _need(doc, "seeds", list, "")
-    if not all(isinstance(s, int) and not isinstance(s, bool) for s in seeds):
-        raise ManifestError("seeds: every entry must be an integer")
+    for i, seed in enumerate(seeds):
+        with _setting(f"seeds[{i}]: "):
+            NoiseSpec(sigma=0.0, seed=seed)
 
     methods = []
     for i, entry in enumerate(_need(doc, "methods", list, "")):
@@ -309,13 +317,11 @@ def parse_manifest(doc: dict) -> Manifest:
         if name not in METHOD_NAMES:
             raise ManifestError(f"{path}name: unknown method {name!r}")
         cfg = _parse_config(entry.get("config", {}), path + "config.")
-        try:
+        with _setting(f"{path}window: "):
             window = WindowSpec(
                 width=entry.get("window", WindowSpec.width),
                 step=entry.get("step", WindowSpec.step),
             )
-        except InvalidConfig as exc:
-            raise ManifestError(f"{path}window: {exc}")
         mode = entry.get("mode", MethodDef.average_mode)
         if mode not in ("global", "pairwise"):
             raise ManifestError(f"{path}mode: expected 'global' or 'pairwise'")
@@ -337,12 +343,11 @@ def parse_manifest(doc: dict) -> Manifest:
         raise ManifestError("output_csv: expected a string path")
 
     return Manifest(
-        schema_version=version,
         n_rows=size[0],
         n_cols=size[1],
         n_bands=size[2],
-        lambda_lo=float(lam[0]),
-        lambda_hi=float(lam[1]),
+        lambda_lo=lam[0],
+        lambda_hi=lam[1],
         dispersion=dispersion,
         objects=tuple(objects),
         sigmas=tuple(float(s) for s in sigmas),

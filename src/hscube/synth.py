@@ -14,10 +14,11 @@ band sections, and a single tall peak whose phase wraps many times.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
+from .cdbm3d import _check_int, _check_real
 from .cube import ComplexCube
 from .errors import DimensionMismatch, InvalidConfig, NonPositiveWavelength, OutOfBounds
 
@@ -127,6 +128,19 @@ class PhaseObjectSpec:
 def default_wavelengths(n_bands: int = 200, lo_nm: float = 400.0, hi_nm: float = 798.0):
     """Uniform wavelength grid, by default 200 bands over 400-798 nm."""
     return np.linspace(lo_nm, hi_nm, n_bands)
+
+
+def _check_geometry(size, lambda_nm):
+    """A synthetic cube's ``size`` [rows, cols, bands] as three positive
+    ints, and its range ``lambda_nm`` [lo, hi] as finite floats, 0 < lo < hi."""
+    if len(size) != 3:
+        raise InvalidConfig(f"size: expected [rows, cols, bands], got {size}")
+    if len(lambda_nm) != 2:
+        raise InvalidConfig(f"lambda_nm: expected [lo, hi], got {lambda_nm}")
+    lo, hi = (_check_real("lambda_nm", v) for v in lambda_nm)
+    if not 0 < lo < hi:
+        raise InvalidConfig(f"lambda_nm: expected 0 < lo < hi, got [{lo}, {hi}]")
+    return tuple(_check_int("size", v, 1) for v in size), (lo, hi)
 
 
 def _thickness_for_phase(model: DispersionModel, lambda_nm: float, phase_rad: float) -> float:
@@ -306,8 +320,8 @@ class NoiseSpec:
     seed: int = 0
 
     def __post_init__(self):
-        if not np.isfinite(self.sigma) or self.sigma < 0:
-            raise InvalidConfig(f"sigma must be finite and nonnegative, got {self.sigma}")
+        object.__setattr__(self, "sigma", _check_real("sigma", self.sigma))
+        object.__setattr__(self, "seed", _check_int("seed", self.seed, 0))
 
 
 def add_noise(cube: ComplexCube, noise: NoiseSpec) -> ComplexCube:

@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -346,6 +347,20 @@ class TestScaleSafety:
         for got, want in zip(diags, expected_diags):
             for key in ("p", "sigma_eigen", "eigenvalues", "mse_curve"):
                 assert got[key] == want[key]
+
+    @pytest.mark.parametrize("k", [-450, 450])
+    def test_threshold_is_scaled_with_the_cube(self, k):
+        # match_threshold is a squared distance in the cube's units
+        x = self.noisy_rank3(7, l=12, side=16)
+        canon = scaled(x, -peak_exponent(x))
+        cfg = DenoiseConfig(match_threshold=0.3)
+        wavelengths = np.linspace(400, 700, 12)
+        out = ccf_denoise(hs.ComplexCube(wavelengths, scaled(canon, k)),
+                          replace(cfg, match_threshold=math.ldexp(0.3, 2 * k)))
+        expected = ccf_denoise(hs.ComplexCube(wavelengths, canon), cfg)
+        assert not np.array_equal(expected.data, ccf_denoise(hs.ComplexCube(wavelengths, canon),
+                                                             DenoiseConfig()).data)
+        assert out.data.tobytes() == scaled(expected.data, k).tobytes()
 
     @pytest.mark.parametrize("factor", [1e-200, 1e200])
     def test_scales_that_used_to_fail(self, factor):

@@ -367,6 +367,41 @@ class TestCopyFreeHosvd:
             assert np.all(np.isfinite(self.run(img, cfg, monkeypatch, oracle)))
 
 
+def unit_weight_wiener_stage(image, pilot, cfg):
+    """The second stage as it weighted each group by 1 / (sigma^2 sum a^2 +
+    AGG_EPS), sigma^2 included."""
+    sigma = cfg.sigma
+
+    def shrink(core_pilot, core_noisy):
+        core, attenuation = wiener_shrink_core(core_noisy, core_pilot, sigma)
+        energy = attenuation.reshape(attenuation.shape[0], -1)
+        return core, 1.0 / (sigma * sigma * np.einsum("gi,gi->g", energy, energy) + cdbm3d.AGG_EPS)
+
+    image, pilot = np.asarray(image, np.complex128), np.asarray(pilot, np.complex128)
+    return cdbm3d._collaborative_pass(pilot, [pilot, image], cfg, shrink)
+
+
+class TestScaleFreeWeight:
+    """The Wiener aggregation weight leaves out sigma^2, which every group of
+    an image shares; away from tiny sigma^2, where AGG_EPS flattened the old
+    weights, the estimate moves by rounding only (at most 7.2e-13 of its
+    largest sample on these inputs)."""
+
+    @pytest.mark.parametrize("sigma", [None, 0.8])
+    @pytest.mark.parametrize("variant", list(Variant))
+    @pytest.mark.parametrize("source", ["compound", "field"])
+    def test_matches_the_old_weight(self, source, variant, sigma, monkeypatch, request):
+        if source == "compound":
+            img = request.getfixturevalue("compound_band")
+        else:
+            img = random_field(np.random.default_rng(20), (40, 36))
+        cfg = DenoiseConfig(variant=variant, sigma=sigma)
+        out = denoise_image(img, cfg)
+        monkeypatch.setattr(cdbm3d, "wiener_stage", unit_weight_wiener_stage)
+        expected = denoise_image(img, cfg)
+        assert np.max(np.abs(out - expected)) <= 1e-11 * np.max(np.abs(expected))
+
+
 class TestShrinkers:
     def test_hard_threshold_keeps_largest(self):
         core = np.array([[0.1, -3.0, 0.5, 0.2]])
@@ -808,6 +843,48 @@ class TestScaleSafety:
         for e in (-700, 700):
             out = denoise_image(scaled(canon, e), replace(cfg, sigma=math.ldexp(0.25, e)))
             assert out.tobytes() == scaled(denoise_image(canon, cfg), e).tobytes()
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        k=st.integers(-100, 100),
+        sigma=st.sampled_from([None, 0.8]),
+        threshold=st.sampled_from([None, 0.0, 1.0, 4.0]),
+        variant=st.sampled_from(list(Variant)),
+    )
+    def test_units_do_not_matter(self, seed, k, sigma, threshold, variant):
+        # sigma is a deviation and match_threshold a squared distance
+        x = random_field(np.random.default_rng(seed), (20, 20))
+        cfg = DenoiseConfig(sigma=sigma, match_threshold=threshold, variant=variant)
+        in_units = replace(
+            cfg,
+            sigma=None if sigma is None else math.ldexp(sigma, k),
+            match_threshold=None if threshold is None else math.ldexp(threshold, 2 * k),
+        )
+        out = denoise_image(scaled(x, k), in_units)
+        assert out.tobytes() == scaled(denoise_image(x, cfg), k).tobytes()
+
+    @pytest.mark.parametrize("k", [-450, 450])
+    def test_threshold_is_scaled_with_the_image(self, k):
+        img = random_field(np.random.default_rng(24), (24, 24))
+        canon, _ = self.in_range(img)
+        # at this scale a distance of 0.2 splits the groups into many sizes
+        cfg = DenoiseConfig(sigma=0.1, match_threshold=0.2)
+        in_units = replace(cfg, sigma=math.ldexp(0.1, k), match_threshold=math.ldexp(0.2, 2 * k))
+        out = denoise_image(scaled(canon, k), in_units)
+        assert out.tobytes() == scaled(denoise_image(canon, cfg), k).tobytes()
+
+    def test_threshold_beyond_float64_cuts_nothing(self):
+        img = scaled(random_field(np.random.default_rng(25), (24, 24)), -600)
+        canon, e = self.in_range(img)
+        out = denoise_image(img, DenoiseConfig(sigma=math.ldexp(0.5, e), match_threshold=1e300))
+        expected = denoise_image(canon, DenoiseConfig(sigma=0.5))
+        assert out.tobytes() == scaled(expected, e).tobytes()
+
+    def test_huge_sigma_gives_a_finite_estimate(self):
+        # sigma^2 overflows; it used to turn every Wiener weight into NaN
+        img = random_field(np.random.default_rng(26), (24, 24))
+        assert np.all(np.isfinite(denoise_image(img, DenoiseConfig(sigma=1e300))))
 
     def test_in_band_images_are_not_rescaled(self, monkeypatch):
         img = random_field(np.random.default_rng(23), (16, 16))

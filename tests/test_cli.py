@@ -98,6 +98,24 @@ class TestSynth:
         assert res.returncode == 2, res.stderr
         assert "Traceback" not in res.stderr
 
+    @pytest.mark.parametrize("flags, field", [
+        (("--object", "compound", "--sigma", 1, "--seed", -1), "seed"),
+        (("--size", 0, 8, 4), "size"),
+        (("--size", 8, 8, 0), "size"),
+        (("--lambda", 500, 400), "lambda_nm"),
+        (("--lambda", "nan", 500), "lambda_nm"),
+        (("--target-phase", "nan"), "target_phase"),
+        (("--object", "wrapped", "--max-phase-400", "inf"), "max_phase"),
+    ])
+    def test_setting_errors_name_their_field(self, tmp_path, flags, field):
+        res = run_cli(
+            "synth", "--object", "two-peak", "--size", 16, 16, 4, *flags,
+            "--out", tmp_path / "t.chsc", "--noisy-out", tmp_path / "n.chsc",
+        )
+        assert res.returncode == 2, res.stderr
+        assert res.stderr.startswith(f"error: {field}: "), res.stderr
+        assert not (tmp_path / "t.chsc").exists()
+
 
 class TestDenoise:
     def test_ccf_sliding_with_sidecar(self, synth_dir, tmp_path):
@@ -285,6 +303,24 @@ class TestSweep:
         res = run_cli("sweep", manifest)
         assert res.returncode == 2
         assert "methods[0]" in res.stderr
+
+    @pytest.mark.parametrize("override, where", [
+        ({"seeds": [-1]}, "seeds[0]: seed: "),
+        ({"objects": [{"kind": "compound", "target_phase": float("nan")}]},
+         "objects[0].target_phase: "),
+        ({"lambda_nm": [400, float("inf")]}, "lambda_nm: "),
+    ])
+    def test_noise_and_object_settings_exit_2(self, tmp_path, override, where):
+        manifest = tmp_path / "bad.manifest"
+        manifest.write_text(json.dumps({
+            "schema_version": 1, "size": [16, 16, 4], "lambda_nm": [400, 798],
+            "objects": ["two-peak"], "sigmas": [0.5], "seeds": [1],
+            "methods": [{"name": "noop"}], **override,
+        }))
+        res = run_cli("sweep", "--out", tmp_path / "out.csv", manifest)
+        assert res.returncode == 2, res.stderr
+        assert res.stderr.startswith(f"error: {where}"), res.stderr
+        assert not (tmp_path / "out.csv").exists()
 
     def test_not_json_exit_2(self, tmp_path):
         manifest = tmp_path / "garbage.manifest"

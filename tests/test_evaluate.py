@@ -1,5 +1,7 @@
 import dataclasses
 import io
+import json
+import pathlib
 
 import numpy as np
 import pytest
@@ -10,6 +12,7 @@ from hscube.cdbm3d import DenoiseConfig
 from hscube.errors import DimensionMismatch, DispersionRequired, ManifestError, ZeroReference
 from hscube.evaluate import (
     CSV_COLUMNS,
+    METHOD_NAMES,
     MethodDef,
     ObjectDef,
     csv_text,
@@ -226,6 +229,26 @@ class TestManifest:
         assert m.dispersion == DispersionModel()
         (method,) = m.methods
         assert method.config == DenoiseConfig() and method.window == WindowSpec()
+
+    @pytest.mark.parametrize("override, where", [
+        ({"seeds": [-1]}, r"seeds\[0\]: seed: "),
+        ({"seeds": [True]}, r"seeds\[0\]: seed: "),
+        ({"objects": [{"kind": "compound", "target_phase": float("nan")}]},
+         r"objects\[0\]\.target_phase: "),
+        ({"objects": [{"kind": "wrapped", "max_phase": "28"}]}, r"objects\[0\]\.max_phase: "),
+        ({"size": [16, 0, 8]}, r"size: "),
+        ({"lambda_nm": [float("nan"), 500]}, r"lambda_nm: "),
+    ])
+    def test_noise_object_and_geometry_checked_by_their_dataclass(self, override, where):
+        with pytest.raises(ManifestError, match="^" + where):
+            parse_manifest(small_manifest(**override))
+
+    @pytest.mark.parametrize("name", ["comparison", "fig3a", "fig3b", "fig3d"])
+    def test_shipped_manifests_parse(self, name):
+        path = pathlib.Path(__file__).resolve().parents[1] / "manifests" / f"{name}.manifest"
+        manifest = parse_manifest(json.loads(path.read_text()))
+        assert manifest.methods
+        assert all(method.name in METHOD_NAMES for method in manifest.methods)
 
     def test_empty_lists_allowed(self):
         m = parse_manifest(small_manifest(objects=[], methods=[]))
