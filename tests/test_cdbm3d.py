@@ -367,9 +367,9 @@ class TestCopyFreeHosvd:
             assert np.all(np.isfinite(self.run(img, cfg, monkeypatch, oracle)))
 
 
-def unit_weight_wiener_stage(image, pilot, cfg):
-    """The second stage as it weighted each group by 1 / (sigma^2 sum a^2 +
-    AGG_EPS), sigma^2 included."""
+def sigma_weighted_wiener_stage(image, pilot, cfg):
+    """The second stage as it weighted each group by
+    1 / (sigma^2 sum a^2 + AGG_EPS), with the sigma^2 every group shares."""
     sigma = cfg.sigma
 
     def shrink(core_pilot, core_noisy):
@@ -397,7 +397,7 @@ class TestScaleFreeWeight:
             img = random_field(np.random.default_rng(20), (40, 36))
         cfg = DenoiseConfig(variant=variant, sigma=sigma)
         out = denoise_image(img, cfg)
-        monkeypatch.setattr(cdbm3d, "wiener_stage", unit_weight_wiener_stage)
+        monkeypatch.setattr(cdbm3d, "wiener_stage", sigma_weighted_wiener_stage)
         expected = denoise_image(img, cfg)
         assert np.max(np.abs(out - expected)) <= 1e-11 * np.max(np.abs(expected))
 
@@ -657,7 +657,7 @@ class TestGroupChunks:
         # buckets meet in another order than when each was summed alone: a
         # few ulps of the largest sample (at most 2.0e-15 of it over three
         # images, both variants and six thresholds).  Each stage is compared
-        # on its own; a second stage would refactor a pilot moved by rounding.
+        # on its own; a second stage would re-factor a pilot moved by rounding.
         rng = np.random.default_rng(18)
         img = np.cumsum(random_field(rng, (36, 36)), axis=0) + 2.0 * random_field(rng, (36, 36))
         cfg = DenoiseConfig(variant=variant, match_threshold=threshold, sigma=2.0)

@@ -239,7 +239,7 @@ class TestManifest:
         ({"size": [16, 0, 8]}, r"size: "),
         ({"lambda_nm": [float("nan"), 500]}, r"lambda_nm: "),
     ])
-    def test_noise_object_and_geometry_checked_by_their_dataclass(self, override, where):
+    def test_noise_object_and_geometry_errors_name_their_field(self, override, where):
         with pytest.raises(ManifestError, match="^" + where):
             parse_manifest(small_manifest(**override))
 
