@@ -20,7 +20,6 @@ from .cdbm3d import (
 )
 from .cube import (
     ComplexCube,
-    SpectralMatrix,
     read_cube,
     reshape_to_cube,
     reshape_to_matrix,

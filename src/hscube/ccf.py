@@ -19,7 +19,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .cdbm3d import DenoiseConfig, _check_int, _ldexp, _rescaled, _scale_exponent, denoise_image
-from .cube import ComplexCube, SpectralMatrix, reshape_to_cube, reshape_to_matrix
+from .cube import ComplexCube, reshape_to_cube, reshape_to_matrix
 from .errors import DimensionMismatch
 from .parallel import _single_threaded_blas, run_jobs
 from .subspace import back_project, identify_subspace, project
@@ -92,27 +92,22 @@ def ccf_denoise(
     """
     shift = _scale_exponent(cube.data)
     z = reshape_to_matrix(cube)
-    if shift:  # the entries may be a view of the caller's samples
-        z = replace(z, entries=_ldexp(z.entries, -shift))
+    if shift:  # z may be a view of the caller's samples
+        z = _ldexp(z, -shift)
         cfg = _rescaled(replace(cfg, sigma=None), -shift)  # sigma is set per eigenimage
     basis = identify_subspace(z)
-    zeig = project(z, basis)
-    images = zeig.entries.reshape(basis.p, cube.n_rows, cube.n_cols)
+    images = project(z, basis).reshape(basis.p, cube.n_rows, cube.n_cols)
     sigmas = np.sqrt(basis.eigen_noise_var)
 
     def make_job(i):
         return lambda: denoise_image(images[i], replace(cfg, sigma=float(sigmas[i])))
 
     filtered = run_jobs([make_job(i) for i in range(basis.p)], threads)
-    n_px = cube.n_rows * cube.n_cols
-    zeig_hat = SpectralMatrix(  # an all-zero cube has p = 0 and nothing to stack
-        entries=np.array(filtered, dtype=np.complex128).reshape(basis.p, n_px),
-        n_rows=cube.n_rows,
-        n_cols=cube.n_cols,
-    )
+    n_px = cube.n_rows * cube.n_cols  # an all-zero cube has p = 0 and nothing to stack
+    zeig_hat = np.array(filtered, dtype=np.complex128).reshape(basis.p, n_px)
     z_hat = back_project(zeig_hat, basis)
     if shift:
-        _ldexp(z_hat.entries, shift, out=z_hat.entries)  # a fresh product
+        _ldexp(z_hat, shift, out=z_hat)  # a fresh product
     if diagnostics is not None:
         info = {
             "center": None,
@@ -130,7 +125,7 @@ def ccf_denoise(
                     scaled = np.ldexp(np.asarray(info[key], float), power * shift)
                     info[key] = [float(v) for v in scaled]
         diagnostics.append(info)
-    return reshape_to_cube(z_hat, wavelengths=cube.wavelengths)
+    return reshape_to_cube(z_hat, cube.n_rows, cube.n_cols, cube.wavelengths)
 
 
 def ccf_sliding(

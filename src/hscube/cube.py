@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import os
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -91,49 +91,30 @@ class ComplexCube:
         return self.data[:, :, index]
 
 
-@dataclass(eq=False)
-class SpectralMatrix:
-    """Bands-by-pixels matrix view of a cube, with the spatial dims kept for
-    the inverse reshape.  Row b is band b flattened in C order."""
-
-    entries: np.ndarray  # (n_bands or p, n_pixels) complex128
-    n_rows: int
-    n_cols: int
-    wavelengths: np.ndarray | None = field(default=None)
-
-    @property
-    def n_bands(self) -> int:
-        return self.entries.shape[0]
-
-    @property
-    def n_pixels(self) -> int:
-        return self.entries.shape[1]
-
-
-def reshape_to_matrix(cube: ComplexCube) -> SpectralMatrix:
-    """Flatten a cube into its bands-by-pixels spectral matrix (lossless)."""
+def reshape_to_matrix(cube: ComplexCube) -> np.ndarray:
+    """Flatten a cube into its contiguous bands-by-pixels spectral matrix
+    (lossless); row b is band b flattened in C order."""
     n, m, l = cube.shape
-    entries = np.ascontiguousarray(cube.data.transpose(2, 0, 1).reshape(l, n * m))
-    return SpectralMatrix(entries=entries, n_rows=n, n_cols=m, wavelengths=cube.wavelengths)
+    return np.ascontiguousarray(cube.data.transpose(2, 0, 1).reshape(l, n * m))
 
 
-def reshape_to_cube(mat: SpectralMatrix, wavelengths: np.ndarray | None = None) -> ComplexCube:
-    """Exact inverse of reshape_to_matrix.
+def reshape_to_cube(z: np.ndarray, n_rows: int, n_cols: int, wavelengths) -> ComplexCube:
+    """Exact inverse of reshape_to_matrix: the rows of ``z`` become the
+    bands, on the grid ``wavelengths``, of an ``n_rows x n_cols`` cube.
 
-    Raises DimensionMismatch when the pixel count does not factor into the
-    recorded spatial dims.  A wavelength grid may be supplied for matrices
-    whose rows are no longer the original bands.
+    Raises DimensionMismatch when ``z`` is not 2D or its pixel count is not
+    ``n_rows * n_cols``.
     """
-    n, m = mat.n_rows, mat.n_cols
-    if mat.n_pixels != n * m:
+    z = np.asarray(z)
+    if z.ndim != 2:
+        raise DimensionMismatch(f"spectral matrix must be 2D, got shape {z.shape}")
+    n_bands, n_px = z.shape
+    if n_px != n_rows * n_cols:
         raise DimensionMismatch(
-            f"matrix has {mat.n_pixels} pixels, expected {n}*{m}={n * m}"
+            f"matrix has {n_px} pixels, expected {n_rows}*{n_cols}={n_rows * n_cols}"
         )
-    wl = wavelengths if wavelengths is not None else mat.wavelengths
-    if wl is None:
-        wl = np.arange(mat.n_bands, dtype=np.float64)
-    data = mat.entries.reshape(mat.n_bands, n, m).transpose(1, 2, 0)
-    return ComplexCube(wavelengths=np.asarray(wl, dtype=np.float64), data=data)
+    data = z.reshape(n_bands, n_rows, n_cols).transpose(1, 2, 0)
+    return ComplexCube(wavelengths=wavelengths, data=data)
 
 
 def write_cube(cube: ComplexCube, path) -> None:

@@ -27,6 +27,7 @@ from .synth import (
     NoiseSpec,
     ObjectKind,
     _check_geometry,
+    _check_two_peak_phase,
     add_noise,
     compound_spec,
     generate_truth,
@@ -178,6 +179,8 @@ class ObjectDef:
     def __post_init__(self):
         for name in ("target_phase", "max_phase"):
             object.__setattr__(self, name, _check_real(name, getattr(self, name)))
+        if self.kind is ObjectKind.TWO_PEAK:
+            _check_two_peak_phase(self.target_phase)
 
     def build(self, n_rows: int, n_cols: int, model: DispersionModel, lambda_min: float):
         if self.kind is ObjectKind.TWO_PEAK:
@@ -216,6 +219,11 @@ class Manifest:
     output_csv: str | None = None
 
 
+_TOP_KEYS = {"schema_version", "size", "lambda_nm", "dispersion", "objects", "sigmas", "seeds",
+             "methods", "output_csv"}
+_METHOD_KEYS = {"name", "config", "window", "step", "mode", "sigma_known", "label"}
+
+
 def _need(mapping, key, kind, path):
     if key not in mapping:
         raise ManifestError(f"{path}{key}: missing required field")
@@ -223,6 +231,13 @@ def _need(mapping, key, kind, path):
     if not isinstance(value, kind) or isinstance(value, bool):
         raise ManifestError(f"{path}{key}: expected {kind.__name__}, got {type(value).__name__}")
     return value
+
+
+def _known_keys(mapping: dict, known, path: str) -> None:
+    """Reject a key of a manifest object that no field of it reads."""
+    for key in mapping:
+        if key not in known:
+            raise ManifestError(f"{path}{key}: unknown field, expected one of {sorted(known)}")
 
 
 @contextlib.contextmanager
@@ -240,10 +255,8 @@ def _parse_config(raw, path) -> DenoiseConfig:
     if not isinstance(raw, dict):
         raise ManifestError(f"{path[:-1]}: expected an object")
     known = {f.name for f in fields(DenoiseConfig)} - {"sigma"}  # sigma comes from `sigmas`
+    _known_keys(raw, known, path)
     kwargs = dict(raw)
-    for key in kwargs:
-        if key not in known:
-            raise ManifestError(f"{path}{key}: unknown filter parameter")
     for key, kind in (("variant", Variant), ("stages", Stages)):
         if key in kwargs:
             try:
@@ -258,6 +271,7 @@ def parse_manifest(doc: dict) -> Manifest:
     """Validate a decoded manifest document; errors carry the field path."""
     if not isinstance(doc, dict):
         raise ManifestError(": manifest root must be an object")
+    _known_keys(doc, _TOP_KEYS, "")
     version = _need(doc, "schema_version", int, "")
     if version != 1:
         raise ManifestError(f"schema_version: unsupported version {version}")
@@ -268,6 +282,7 @@ def parse_manifest(doc: dict) -> Manifest:
     disp_raw = doc.get("dispersion", {})
     if not isinstance(disp_raw, dict):
         raise ManifestError("dispersion: expected an object")
+    _known_keys(disp_raw, {"a0", "b0_um2", "c0_um4"}, "dispersion.")
     base = DispersionModel()
     try:
         dispersion = DispersionModel(
@@ -285,6 +300,7 @@ def parse_manifest(doc: dict) -> Manifest:
             entry = {"kind": entry}
         if not isinstance(entry, dict):
             raise ManifestError(f"objects[{i}]: expected a string or object")
+        _known_keys(entry, {"kind", "name", "target_phase", "max_phase"}, path)
         kind_name = _need(entry, "kind", str, path)
         try:
             kind = ObjectKind(kind_name)
@@ -301,8 +317,9 @@ def parse_manifest(doc: dict) -> Manifest:
             )
 
     sigmas = _need(doc, "sigmas", list, "")
-    if not all(isinstance(s, (int, float)) and s >= 0 for s in sigmas):
-        raise ManifestError("sigmas: every entry must be a nonnegative number")
+    for i, sigma in enumerate(sigmas):
+        with _setting(f"sigmas[{i}]: "):
+            NoiseSpec(sigma=sigma)
     seeds = _need(doc, "seeds", list, "")
     for i, seed in enumerate(seeds):
         with _setting(f"seeds[{i}]: "):
@@ -313,6 +330,7 @@ def parse_manifest(doc: dict) -> Manifest:
         path = f"methods[{i}]."
         if not isinstance(entry, dict):
             raise ManifestError(f"methods[{i}]: expected an object")
+        _known_keys(entry, _METHOD_KEYS, path)
         name = _need(entry, "name", str, path)
         if name not in METHOD_NAMES:
             raise ManifestError(f"{path}name: unknown method {name!r}")

@@ -1,4 +1,5 @@
-"""Signal-subspace identification for complex spectral matrices.
+"""Signal-subspace identification for a complex (bands, pixels) spectral
+matrix Z, row b holding band b of a cube flattened (``reshape_to_matrix``).
 
 Everything follows from the band correlation matrix R_y = Z Z^H / n, as in
 HySime.  The noise in each band is the residual of a least-squares
@@ -19,7 +20,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cube import SpectralMatrix
 from .errors import (
     DecompositionFailed,
     DimensionMismatch,
@@ -40,7 +40,6 @@ class EigenBasis:
     """Orthonormal spectral basis of the selected signal subspace."""
 
     E: np.ndarray  # (L, p) complex, orthonormal columns
-    p: int
     noise_var: np.ndarray  # (L,) real, per-band noise variance
     eigen_noise_var: np.ndarray  # (p,) real, sum_l |e_il|^2 noise_var_l
     mse_curve: np.ndarray  # (L,) mse of keeping the k best candidates, k = 1..L
@@ -50,23 +49,27 @@ class EigenBasis:
     def n_bands(self) -> int:
         return self.E.shape[0]
 
+    @property
+    def p(self) -> int:
+        """The subspace dimension: the number of eigenvectors kept."""
+        return self.E.shape[1]
+
 
 def _hermitize(r: np.ndarray) -> np.ndarray:
     return 0.5 * (r + r.conj().T)
 
 
-def _regress_bands(z: SpectralMatrix):
+def _regress_bands(z: np.ndarray):
     """Band correlation R_y = Z Z^H / n and the residual variance of each
     band regressed on the others (see ``estimate_noise``)."""
-    zm = z.entries
-    l, n = zm.shape
+    l, n = z.shape
     if l < 3:
         raise TooFewBands(f"need at least 3 bands, got {l}")
     if n <= l:
         raise TooFewPixels(f"need more pixels than bands, got {n} <= {l}")
 
-    r_y = _hermitize(zm @ zm.conj().T / n)
-    if not np.any(zm):  # no signal and no noise: nothing to regress
+    r_y = _hermitize(z @ z.conj().T / n)
+    if not np.any(z):  # no signal and no noise: nothing to regress
         return r_y, np.zeros(l)
     ridge = RIDGE_SCALE * np.trace(r_y).real / l
 
@@ -87,7 +90,7 @@ def _regress_bands(z: SpectralMatrix):
     return r_y, np.maximum(np.sum((a @ r_y) * a.conj(), axis=1).real, 0.0)
 
 
-def estimate_noise(z: SpectralMatrix) -> np.ndarray:
+def estimate_noise(z: np.ndarray) -> np.ndarray:
     """Estimate per-band noise variances by multiple regression on the
     other bands; returns an (L,) real array.
 
@@ -102,7 +105,7 @@ def estimate_noise(z: SpectralMatrix) -> np.ndarray:
     return _regress_bands(z)[1]
 
 
-def identify_subspace(z: SpectralMatrix) -> EigenBasis:
+def identify_subspace(z: np.ndarray) -> EigenBasis:
     """Pick the eigen-subspace of the band correlation matrix that minimizes
     the reconstruction mean squared error under the estimated noise.  An
     all-zero matrix holds no signal, and its subspace is empty (p = 0)."""
@@ -133,7 +136,6 @@ def identify_subspace(z: SpectralMatrix) -> EigenBasis:
     by_signal = selected[np.argsort(signal_power, kind="stable")[::-1]]
     return EigenBasis(
         E=vecs[:, by_signal],
-        p=int(selected.size),
         noise_var=noise_var,
         eigen_noise_var=eig_noise[by_signal],
         mse_curve=mse_curve,
@@ -141,23 +143,17 @@ def identify_subspace(z: SpectralMatrix) -> EigenBasis:
     )
 
 
-def project(z: SpectralMatrix, basis: EigenBasis) -> SpectralMatrix:
+def project(z: np.ndarray, basis: EigenBasis) -> np.ndarray:
     """Project band rows onto the subspace: E^H Z, a p-by-pixels matrix."""
-    if z.n_bands != basis.n_bands:
-        raise DimensionMismatch(
-            f"matrix has {z.n_bands} bands, basis expects {basis.n_bands}"
-        )
-    return SpectralMatrix(
-        entries=basis.E.conj().T @ z.entries, n_rows=z.n_rows, n_cols=z.n_cols
-    )
+    if z.shape[0] != basis.n_bands:
+        raise DimensionMismatch(f"matrix has {z.shape[0]} bands, basis expects {basis.n_bands}")
+    return basis.E.conj().T @ z
 
 
-def back_project(zeig: SpectralMatrix, basis: EigenBasis) -> SpectralMatrix:
+def back_project(zeig: np.ndarray, basis: EigenBasis) -> np.ndarray:
     """Return from subspace coordinates to band space: E Zeig."""
-    if zeig.n_bands != basis.p:
+    if zeig.shape[0] != basis.p:
         raise DimensionMismatch(
-            f"matrix has {zeig.n_bands} rows, basis holds {basis.p} eigenvectors"
+            f"matrix has {zeig.shape[0]} rows, basis holds {basis.p} eigenvectors"
         )
-    return SpectralMatrix(
-        entries=basis.E @ zeig.entries, n_rows=zeig.n_rows, n_cols=zeig.n_cols
-    )
+    return basis.E @ zeig

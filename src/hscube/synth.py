@@ -28,6 +28,9 @@ TWO_PI = 2.0 * np.pi
 BK7_A0 = 1.5046
 BK7_B0 = 0.00420
 
+# Band-index fractions at which the compound object switches thickness maps.
+SECTION_BOUNDARIES = (1.0 / 3.0, 2.0 / 3.0)
+
 
 @dataclass(frozen=True)
 class DispersionModel:
@@ -73,12 +76,11 @@ class PhaseObjectSpec:
     """Concrete thickness map(s) in micrometers plus an amplitude field.
 
     Single-map objects carry one map; the compound object carries three,
-    switched at band-index fractions ``section_boundaries``.
+    switched at the band-index fractions ``SECTION_BOUNDARIES``.
     """
 
     kind: ObjectKind
     thickness_maps: tuple[np.ndarray, ...]
-    section_boundaries: tuple[float, float] = (1.0 / 3.0, 2.0 / 3.0)
     amplitude: np.ndarray | None = None
 
     def __post_init__(self):
@@ -91,9 +93,6 @@ class PhaseObjectSpec:
         if self.kind is ObjectKind.COMPOUND:
             if len(maps) != 3:
                 raise DimensionMismatch("compound object needs exactly 3 thickness maps")
-            b1, b2 = self.section_boundaries
-            if not 0.0 < b1 < b2 < 1.0:
-                raise ValueError("section boundaries must satisfy 0 < b1 < b2 < 1")
         elif len(maps) != 1:
             raise DimensionMismatch(f"{self.kind.value} object needs exactly 1 thickness map")
         if self.amplitude is not None:
@@ -117,7 +116,7 @@ class PhaseObjectSpec:
         """Thickness map active at a relative band position in [0, 1)."""
         if self.kind is not ObjectKind.COMPOUND:
             return self.thickness_maps[0]
-        b1, b2 = self.section_boundaries
+        b1, b2 = SECTION_BOUNDARIES
         if band_fraction < b1:
             return self.thickness_maps[0]
         if band_fraction < b2:
@@ -169,6 +168,13 @@ def _rescale_to_phase(raw_map, model, lambda_nm, target_phase):
     return raw_map * (_thickness_for_phase(model, lambda_nm, target_phase) / peak)
 
 
+def _check_two_peak_phase(target_phase: float) -> None:
+    """The two-peak object's phase stays unwrapped only for a peak in (0, pi)."""
+    if not 0 < target_phase < np.pi:
+        raise InvalidConfig(f"target_phase: the two-peak object needs 0 < target_phase < pi, "
+                            f"got {target_phase}")
+
+
 def two_peak_spec(
     n_rows: int,
     n_cols: int,
@@ -178,8 +184,7 @@ def two_peak_spec(
 ) -> PhaseObjectSpec:
     """Smooth sum of two Gaussian bumps, scaled so the largest phase (reached
     at the shortest wavelength) equals ``target_phase`` and stays below pi."""
-    if not 0 < target_phase < np.pi:
-        raise ValueError("two-peak object must keep its phase inside [-pi, pi)")
+    _check_two_peak_phase(target_phase)
     b1 = _gaussian_bump(n_rows, n_cols, (0.38 * n_rows, 0.32 * n_cols), 0.11)
     b2 = 0.72 * _gaussian_bump(n_rows, n_cols, (0.62 * n_rows, 0.68 * n_cols), 0.17)
     h = _rescale_to_phase(b1 + b2, model, lambda_min_nm, target_phase)
@@ -240,7 +245,6 @@ def compound_spec(
     model: DispersionModel,
     lambda_min_nm: float = 400.0,
     target_phase: float = 2.8,
-    section_boundaries: tuple[float, float] = (1.0 / 3.0, 2.0 / 3.0),
 ) -> PhaseObjectSpec:
     """Three-section object: binary bar target, Gaussian peak, inclined
     discontinuous surface; each section calibrated to an interferometric range.
@@ -255,11 +259,7 @@ def compound_spec(
         _inclined_step_thickness(n_rows, n_cols),
     )
     scaled = tuple(_rescale_to_phase(m, model, lambda_min_nm, target_phase) for m in maps)
-    return PhaseObjectSpec(
-        kind=ObjectKind.COMPOUND,
-        thickness_maps=scaled,
-        section_boundaries=section_boundaries,
-    )
+    return PhaseObjectSpec(kind=ObjectKind.COMPOUND, thickness_maps=scaled)
 
 
 def phase_at(

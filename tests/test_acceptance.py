@@ -74,12 +74,10 @@ class TestCriterion1Exactness:
         hosvd_err = np.linalg.norm(inverse_hosvd(hosvd(g)) - g) / np.linalg.norm(g)
 
         l, n = 20, 900
-        z = hs.SpectralMatrix(
+        z = (
             (rng.normal(size=(l, 4)) + 1j * rng.normal(size=(l, 4)))
             @ (rng.normal(size=(4, n)) + 1j * rng.normal(size=(4, n)))
-            + 0.2 * (rng.normal(size=(l, n)) + 1j * rng.normal(size=(l, n))),
-            30,
-            30,
+            + 0.2 * (rng.normal(size=(l, n)) + 1j * rng.normal(size=(l, n)))
         )
         basis = identify_subspace(z)
         ortho_err = np.max(np.abs(basis.E.conj().T @ basis.E - np.eye(basis.p)))
@@ -88,7 +86,7 @@ class TestCriterion1Exactness:
             wavelengths=np.linspace(400, 700, 6),
             data=rng.normal(size=(7, 9, 6)) + 1j * rng.normal(size=(7, 9, 6)),
         )
-        reshaped = reshape_to_cube(reshape_to_matrix(cube))
+        reshaped = reshape_to_cube(reshape_to_matrix(cube), 7, 9, cube.wavelengths)
         reshape_ok = np.array_equal(reshaped.data, cube.data)
         path = tmp_path / "cube.chsc"
         write_cube(cube, path)
@@ -134,7 +132,7 @@ class TestCriterion2SubspaceOracle:
             rng = np.random.default_rng(1000 + i)
             a = rng.normal(size=(24, k)) + 1j * rng.normal(size=(24, k))
             b = rng.normal(size=(k, 1024)) + 1j * rng.normal(size=(k, 1024))
-            z = hs.SpectralMatrix(a @ b, 32, 32)
+            z = a @ b
             hits += identify_subspace(z).p == k
         _report(2, "subspace oracle", hits >= 95, f"{hits}/100 exact rank recoveries")
 

@@ -105,6 +105,7 @@ class TestSynth:
         (("--lambda", 500, 400), "lambda_nm"),
         (("--lambda", "nan", 500), "lambda_nm"),
         (("--target-phase", "nan"), "target_phase"),
+        (("--target-phase", 4), "target_phase"),
         (("--object", "wrapped", "--max-phase-400", "inf"), "max_phase"),
     ])
     def test_setting_errors_name_their_field(self, tmp_path, flags, field):
@@ -309,6 +310,10 @@ class TestSweep:
         ({"objects": [{"kind": "compound", "target_phase": float("nan")}]},
          "objects[0].target_phase: "),
         ({"lambda_nm": [400, float("inf")]}, "lambda_nm: "),
+        ({"objects": ["compound", {"kind": "two-peak", "target_phase": 4}]},
+         "objects[1].target_phase: "),
+        ({"sigmas": [0.5, float("inf")]}, "sigmas[1]: sigma: "),
+        ({"methods": [{"name": "noop", "windw": 3}]}, "methods[0].windw: unknown field"),
     ])
     def test_noise_and_object_settings_exit_2(self, tmp_path, override, where):
         manifest = tmp_path / "bad.manifest"

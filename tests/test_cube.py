@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 
 from hscube.cube import (
     ComplexCube,
-    SpectralMatrix,
     read_cube,
     reshape_to_cube,
     reshape_to_matrix,
@@ -77,8 +76,8 @@ class TestReshape:
             data=values.reshape(1, 1, 3),
         )
         mat = reshape_to_matrix(cube)
-        assert mat.entries.shape == (3, 1)
-        assert np.array_equal(mat.entries[:, 0], values)
+        assert mat.shape == (3, 1)
+        assert np.array_equal(mat[:, 0], values)
 
     def test_row_major_convention(self):
         a, b, c, d = 1 + 1j, 2 - 1j, 3 + 0j, 4 + 4j
@@ -87,24 +86,39 @@ class TestReshape:
             data=np.array([[a, b], [c, d]]).reshape(2, 2, 1),
         )
         mat = reshape_to_matrix(cube)
-        assert np.array_equal(mat.entries, np.array([[a, b, c, d]]))
+        assert np.array_equal(mat, np.array([[a, b, c, d]]))
 
     def test_round_trip_random_cube(self):
         cube = random_cube(np.random.default_rng(2), 4, 5, 6)
-        back = reshape_to_cube(reshape_to_matrix(cube))
+        back = reshape_to_cube(reshape_to_matrix(cube), 4, 5, cube.wavelengths)
         assert np.array_equal(back.data, cube.data)
         assert np.array_equal(back.wavelengths, cube.wavelengths)
 
     def test_matrix_to_cube_shape(self):
-        mat = SpectralMatrix(entries=np.arange(12, dtype=complex).reshape(3, 4), n_rows=2, n_cols=2)
-        cube = reshape_to_cube(mat)
+        mat = np.arange(12, dtype=complex).reshape(3, 4)
+        cube = reshape_to_cube(mat, 2, 2, np.array([400.0, 500.0, 600.0]))
         assert cube.shape == (2, 2, 3)
-        assert cube.data[0, 1, 2] == mat.entries[2, 1]
+        assert cube.data[0, 1, 2] == mat[2, 1]
 
-    def test_bad_provenance_dims(self):
-        mat = SpectralMatrix(entries=np.zeros((3, 7), complex), n_rows=2, n_cols=4)
+    def test_wrong_pixel_count(self):
         with pytest.raises(DimensionMismatch):
-            reshape_to_cube(mat)
+            reshape_to_cube(np.zeros((3, 7), complex), 2, 4, np.array([400.0, 500.0, 600.0]))
+
+    def test_rejects_a_matrix_that_is_not_2d(self):
+        with pytest.raises(DimensionMismatch):
+            reshape_to_cube(np.zeros(8, complex), 2, 4, np.array([400.0]))
+        with pytest.raises(DimensionMismatch):
+            reshape_to_cube(np.zeros((1, 2, 4), complex), 2, 4, np.array([400.0]))
+
+    def test_leaves_the_callers_array_unchanged(self):
+        cube = random_cube(np.random.default_rng(5), 3, 4, 5)
+        before = cube.data.tobytes()
+        mat = reshape_to_matrix(cube)
+        mat_before = mat.tobytes()
+        back = reshape_to_cube(mat, 3, 4, cube.wavelengths)
+        assert cube.data.tobytes() == before and mat.tobytes() == mat_before
+        assert mat.flags.writeable  # the cube froze its own view only
+        assert np.array_equal(back.data, cube.data)
 
     @settings(max_examples=25, deadline=None)
     @given(
@@ -115,7 +129,7 @@ class TestReshape:
     )
     def test_round_trip_property(self, n, m, l, seed):
         cube = random_cube(np.random.default_rng(seed), n, m, l)
-        back = reshape_to_cube(reshape_to_matrix(cube))
+        back = reshape_to_cube(reshape_to_matrix(cube), n, m, cube.wavelengths)
         assert np.array_equal(back.data, cube.data)
 
 

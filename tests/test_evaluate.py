@@ -236,10 +236,25 @@ class TestManifest:
         ({"objects": [{"kind": "compound", "target_phase": float("nan")}]},
          r"objects\[0\]\.target_phase: "),
         ({"objects": [{"kind": "wrapped", "max_phase": "28"}]}, r"objects\[0\]\.max_phase: "),
+        ({"objects": ["compound", {"kind": "two-peak", "target_phase": 4}]},
+         r"objects\[1\]\.target_phase: "),
+        ({"sigmas": [0.5, float("inf")]}, r"sigmas\[1\]: sigma: "),
+        ({"sigmas": [True]}, r"sigmas\[0\]: sigma: "),
+        ({"sigmas": [0.5, "1"]}, r"sigmas\[1\]: sigma: "),
         ({"size": [16, 0, 8]}, r"size: "),
         ({"lambda_nm": [float("nan"), 500]}, r"lambda_nm: "),
     ])
     def test_noise_object_and_geometry_errors_name_their_field(self, override, where):
+        with pytest.raises(ManifestError, match="^" + where):
+            parse_manifest(small_manifest(**override))
+
+    @pytest.mark.parametrize("override, where", [
+        ({"output": "x.csv"}, r"output: unknown field"),
+        ({"dispersion": {"a0": 1.5, "b0": 0.004}}, r"dispersion\.b0: unknown field"),
+        ({"objects": [{"kind": "two-peak", "phase": 2.0}]}, r"objects\[0\]\.phase: unknown field"),
+        ({"methods": [{"name": "noop", "windw": 3}]}, r"methods\[0\]\.windw: unknown field"),
+    ])
+    def test_unknown_keys_rejected_with_their_path(self, override, where):
         with pytest.raises(ManifestError, match="^" + where):
             parse_manifest(small_manifest(**override))
 

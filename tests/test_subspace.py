@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import hscube as hs
-from hscube.cube import SpectralMatrix, reshape_to_matrix
+from hscube.cube import reshape_to_matrix
 from hscube.errors import DimensionMismatch, TooFewBands, TooFewPixels
 from hscube.subspace import (
     RIDGE_SCALE,
@@ -28,13 +28,13 @@ def rank_k_matrix(rng, l, k, n):
 class TestEstimateNoise:
     def test_preconditions(self):
         with pytest.raises(TooFewBands):
-            estimate_noise(SpectralMatrix(np.zeros((2, 100), complex), 10, 10))
+            estimate_noise(np.zeros((2, 100), complex))
         with pytest.raises(TooFewPixels):
-            estimate_noise(SpectralMatrix(np.zeros((8, 8), complex), 2, 4))
+            estimate_noise(np.zeros((8, 8), complex))
 
     def test_pure_noise_diagonal(self):
         rng = np.random.default_rng(0)
-        z = SpectralMatrix(complex_noise(rng, (8, 4096)), 64, 64)
+        z = complex_noise(rng, (8, 4096))
         var = estimate_noise(z)
         assert var.shape == (8,)
         assert np.all(np.abs(var - 1.0) < 0.1)
@@ -42,39 +42,39 @@ class TestEstimateNoise:
     def test_rank_one_residual_vanishes(self):
         rng = np.random.default_rng(1)
         row = rng.normal(size=512) + 1j * rng.normal(size=512)
-        z = SpectralMatrix(np.tile(row, (6, 1)), 16, 32)
+        z = np.tile(row, (6, 1))
         var = estimate_noise(z)
-        scale = np.linalg.norm(z.entries) ** 2 / z.n_pixels
+        scale = np.linalg.norm(z) ** 2 / z.shape[1]
         assert np.linalg.norm(var) <= 1e-10 * scale
 
     def test_scaling_homogeneity(self):
         rng = np.random.default_rng(2)
         z = rank_k_matrix(rng, 6, 2, 400) + complex_noise(rng, (6, 400))
-        var1 = estimate_noise(SpectralMatrix(z, 20, 20))
-        var2 = estimate_noise(SpectralMatrix(2.0 * z, 20, 20))
+        var1 = estimate_noise(z)
+        var2 = estimate_noise(2.0 * z)
         assert np.allclose(var2, 4.0 * var1, rtol=1e-8)
 
 
 class TestIdentifySubspace:
     def test_exact_rank_three(self):
         rng = np.random.default_rng(3)
-        z = SpectralMatrix(rank_k_matrix(rng, 24, 3, 1024), 32, 32)
+        z = rank_k_matrix(rng, 24, 3, 1024)
         basis = identify_subspace(z)
         assert basis.p == 3
         recon = back_project(project(z, basis), basis)
-        rel = np.linalg.norm(recon.entries - z.entries) / np.linalg.norm(z.entries)
+        rel = np.linalg.norm(recon - z) / np.linalg.norm(z)
         assert rel <= 1e-8
 
     def test_orthonormal_columns(self):
         rng = np.random.default_rng(4)
-        z = SpectralMatrix(rank_k_matrix(rng, 16, 4, 900) + complex_noise(rng, (16, 900)), 30, 30)
+        z = rank_k_matrix(rng, 16, 4, 900) + complex_noise(rng, (16, 900))
         basis = identify_subspace(z)
         gram = basis.E.conj().T @ basis.E
         assert np.max(np.abs(gram - np.eye(basis.p))) <= 1e-10
 
     def test_pure_noise_floors_at_one(self):
         rng = np.random.default_rng(5)
-        z = SpectralMatrix(complex_noise(rng, (12, 2048)), 32, 64)
+        z = complex_noise(rng, (12, 2048))
         assert identify_subspace(z).p == 1
 
     def test_two_peak_cube_small_subspace(self):
@@ -89,19 +89,13 @@ class TestIdentifySubspace:
     def test_mse_curve_minimized_at_p(self):
         rng = np.random.default_rng(6)
         for trial in range(5):
-            z = SpectralMatrix(
-                rank_k_matrix(rng, 20, 3, 800) + 0.3 * complex_noise(rng, (20, 800)),
-                20,
-                40,
-            )
+            z = rank_k_matrix(rng, 20, 3, 800) + 0.3 * complex_noise(rng, (20, 800))
             basis = identify_subspace(z)
             assert np.all(basis.mse_curve[basis.p - 1] <= basis.mse_curve + 1e-9)
 
     def test_eigen_noise_var_consistent(self):
         rng = np.random.default_rng(7)
-        z = SpectralMatrix(
-            rank_k_matrix(rng, 14, 2, 700) + complex_noise(rng, (14, 700)), 70, 10
-        )
+        z = rank_k_matrix(rng, 14, 2, 700) + complex_noise(rng, (14, 700))
         basis = identify_subspace(z)
         var = estimate_noise(z)
         assert np.array_equal(basis.noise_var, var)
@@ -116,7 +110,7 @@ class TestIdentifySubspace:
         trials = 0
         for k in range(1, 7):
             for _ in range(7):
-                z = SpectralMatrix(rank_k_matrix(rng, 24, k, 1024), 32, 32)
+                z = rank_k_matrix(rng, 24, k, 1024)
                 trials += 1
                 hits += identify_subspace(z).p == k
         assert hits >= 0.95 * trials
@@ -184,29 +178,26 @@ class TestClosedFormOracle:
                 copies = rng.random(l) < 0.5
                 zm[copies] = zm[rng.integers(0, l, size=l)][copies]
         zm *= scale
-        z = SpectralMatrix(zm, 1, n)
 
-        got = estimate_noise(z)
+        got = estimate_noise(zm)
         want = lstsq_noise_var(zm)
         floor = 1e-10 * np.sum(np.abs(zm) ** 2) / n / l
         assert got.shape == (l,) and np.all(got >= 0.0)
         assert np.all(np.abs(got - want) <= 1e-10 * want + floor)
-        assert identify_subspace(z).p == reference_p(zm, want)
+        assert identify_subspace(zm).p == reference_p(zm, want)
 
 
 class TestProjection:
     def make_basis(self, rng, l=10, k=3, n=500):
-        z = SpectralMatrix(
-            rank_k_matrix(rng, l, k, n) + 0.1 * complex_noise(rng, (l, n)), 25, n // 25
-        )
+        z = rank_k_matrix(rng, l, k, n) + 0.1 * complex_noise(rng, (l, n))
         return z, identify_subspace(z)
 
     def test_identity_when_full(self):
         rng = np.random.default_rng(9)
         z, basis = self.make_basis(rng)
         full = basis.E @ basis.E.conj().T
-        inside = full @ z.entries
-        recon = back_project(project(z, basis), basis).entries
+        inside = full @ z
+        recon = back_project(project(z, basis), basis)
         assert np.allclose(recon, inside, atol=1e-10)
 
     def test_full_identity_basis_is_identity(self):
@@ -215,47 +206,52 @@ class TestProjection:
         l = 6
         basis = EigenBasis(
             E=np.eye(l, dtype=complex),
-            p=l,
             noise_var=np.zeros(l),
             eigen_noise_var=np.zeros(l),
             mse_curve=np.zeros(l),
             eigenvalues=np.ones(l),
         )
         rng = np.random.default_rng(14)
-        z = SpectralMatrix(rng.normal(size=(l, 12)) + 0j, 3, 4)
-        assert np.array_equal(project(z, basis).entries, z.entries)
+        z = rng.normal(size=(l, 12)) + 0j
+        assert basis.p == l
+        assert np.array_equal(project(z, basis), z)
 
     def test_projection_non_expansive(self):
         rng = np.random.default_rng(10)
         z, basis = self.make_basis(rng)
-        assert np.linalg.norm(project(z, basis).entries) <= np.linalg.norm(z.entries) + 1e-9
+        assert np.linalg.norm(project(z, basis)) <= np.linalg.norm(z) + 1e-9
 
     def test_back_project_isometry(self):
         rng = np.random.default_rng(11)
         _, basis = self.make_basis(rng)
-        zeig = SpectralMatrix(
-            rng.normal(size=(basis.p, 100)) + 1j * rng.normal(size=(basis.p, 100)), 10, 10
-        )
+        zeig = rng.normal(size=(basis.p, 100)) + 1j * rng.normal(size=(basis.p, 100))
         out = back_project(zeig, basis)
-        assert np.linalg.norm(out.entries) == pytest.approx(
-            np.linalg.norm(zeig.entries), abs=1e-10
-        )
+        assert np.linalg.norm(out) == pytest.approx(np.linalg.norm(zeig), abs=1e-10)
         # project after back_project is the identity on subspace coordinates
         again = project(out, basis)
-        assert np.allclose(again.entries, zeig.entries, atol=1e-10)
+        assert np.allclose(again, zeig, atol=1e-10)
 
     def test_zero_maps_to_zero(self):
         rng = np.random.default_rng(12)
         _, basis = self.make_basis(rng)
-        zeig = SpectralMatrix(np.zeros((basis.p, 64), complex), 8, 8)
-        assert not np.any(back_project(zeig, basis).entries)
+        zeig = np.zeros((basis.p, 64), complex)
+        assert not np.any(back_project(zeig, basis))
 
     def test_dimension_mismatch(self):
         rng = np.random.default_rng(13)
         _, basis = self.make_basis(rng)
-        wrong = SpectralMatrix(np.zeros((basis.n_bands + 1, 64), complex), 8, 8)
         with pytest.raises(DimensionMismatch):
-            project(wrong, basis)
-        wrong_eig = SpectralMatrix(np.zeros((basis.p + 1, 64), complex), 8, 8)
+            project(np.zeros((basis.n_bands + 1, 64), complex), basis)
         with pytest.raises(DimensionMismatch):
-            back_project(wrong_eig, basis)
+            back_project(np.zeros((basis.p + 1, 64), complex), basis)
+
+    def test_leaves_the_callers_arrays_unchanged(self):
+        rng = np.random.default_rng(15)
+        z, basis = self.make_basis(rng)
+        zeig = rng.normal(size=(basis.p, z.shape[1])) + 1j * rng.normal(size=(basis.p, z.shape[1]))
+        z_before, zeig_before = z.tobytes(), zeig.tobytes()
+        again = identify_subspace(z)
+        project(z, basis)
+        back_project(zeig, basis)
+        assert z.tobytes() == z_before and zeig.tobytes() == zeig_before
+        assert again.p == basis.p and np.array_equal(again.E, basis.E)

@@ -89,6 +89,11 @@ class TestPhaseObjects:
             assert phases.max() < np.pi
             assert phases.min() >= 0.0
 
+    @pytest.mark.parametrize("phase", [0.0, np.pi, 4.0])
+    def test_two_peak_phase_outside_zero_pi_names_its_field(self, model, phase):
+        with pytest.raises(InvalidConfig, match="^target_phase: "):
+            hs.two_peak_spec(16, 16, model, target_phase=phase)
+
     def test_wrapped_peak_calibration(self, model):
         spec = hs.wrapped_peak_spec(32, 32, model, max_phase=28.9)
         h = spec.thickness_maps[0]
