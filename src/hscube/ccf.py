@@ -92,7 +92,7 @@ def ccf_denoise(
     """
     shift = _scale_exponent(cube.data)
     z = reshape_to_matrix(cube)
-    if shift:  # z may be a view of the caller's samples
+    if shift:  # z is a view of the caller's samples
         z = _ldexp(z, -shift)
         cfg = _rescaled(replace(cfg, sigma=None), -shift)  # sigma is set per eigenimage
     basis = identify_subspace(z)
@@ -138,11 +138,14 @@ def ccf_sliding(
     """Sliding-window variant; every band of the output comes from exactly
     one window run.
 
-    Each window job returns only the bands it owns, so the finished jobs
-    together hold one cube, not one window per band step.  A window out of
-    the safe magnitude band is rescaled by ``ccf_denoise`` on its own.
+    Each window's sub-cube is a view of the input's band slice, and each
+    window job writes the bands it owns straight into one band-major
+    output, so the jobs hold no copy of the cube beyond their own window's
+    result.  A window out of the safe magnitude band is rescaled by
+    ``ccf_denoise`` on its own.
     """
     plan = sliding_plan(cube.n_bands, window)
+    out = np.empty((cube.n_bands, cube.n_rows, cube.n_cols), dtype=np.complex128)
 
     def make_job(run: WindowRun):
         def job():
@@ -152,16 +155,16 @@ def ccf_sliding(
             )
             local: list = []
             result = ccf_denoise(sub, cfg, diagnostics=local, threads=1)
-            # an index list copies, so the window's cube is freed
-            return result.data[:, :, [b - run.band_lo for b in run.kept]], local[0]
+            bands = result.data.transpose(2, 0, 1)  # the result's band-major buffer
+            for b in run.kept:
+                out[b] = bands[b - run.band_lo]
+            return local[0]
 
         return job
 
-    results = run_jobs([make_job(run) for run in plan], threads)
-    out = np.empty_like(cube.data)
-    for run, (owned, info) in zip(plan, results):
-        out[:, :, list(run.kept)] = owned
-        if diagnostics is not None:
+    infos = run_jobs([make_job(run) for run in plan], threads)
+    if diagnostics is not None:
+        for run, info in zip(plan, infos):
             info.update(
                 {
                     "center": run.center,
@@ -171,4 +174,4 @@ def ccf_sliding(
                 }
             )
             diagnostics.append(info)
-    return ComplexCube(wavelengths=cube.wavelengths, data=out)
+    return ComplexCube(wavelengths=cube.wavelengths, data=out.transpose(1, 2, 0))

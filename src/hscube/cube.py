@@ -2,13 +2,14 @@
 
 Conventions used throughout the package:
 
-* A cube holds ``n_rows x n_cols x n_bands`` complex samples stored as a
-  numpy array of shape ``(n_rows, n_cols, n_bands)``.  The spatial axes
+* A cube holds ``n_rows x n_cols x n_bands`` complex samples, indexed as
+  a numpy array of shape ``(n_rows, n_cols, n_bands)``.  The spatial axes
   follow the usual image convention: axis 0 is the vertical coordinate
   ("y", row), axis 1 the horizontal one ("x", column).
-* A band slice flattens in C order (row outer, column inner).  The same
-  order is used by the spectral-matrix reshape and by the file format, so
-  both passages are lossless and bit-exact.
+* The samples live band-major, in one C-contiguous ``(n_bands, n_rows,
+  n_cols)`` buffer: a band slice is contiguous and flattens in C order
+  (row outer, column inner).  The spectral matrix and the file format use
+  the same order, so both passages are lossless, bit-exact and copy-free.
 
 CHSC binary layout (little endian):
 
@@ -45,14 +46,17 @@ class ComplexCube:
     """Immutable complex-valued hyperspectral cube with its wavelength grid."""
 
     wavelengths: np.ndarray  # (n_bands,) float64, nm, strictly increasing
-    data: np.ndarray  # (n_rows, n_cols, n_bands) complex128
+    data: np.ndarray  # (n_rows, n_cols, n_bands) complex128, a view of the band-major buffer
 
     def __post_init__(self):
         # Views, so that freezing them leaves a caller's own array writeable.
         wl = np.ascontiguousarray(self.wavelengths, dtype=np.float64).view()
-        data = np.ascontiguousarray(self.data, dtype=np.complex128).view()
+        data = np.asarray(self.data)
         if data.ndim != 3:
             raise DimensionMismatch(f"cube data must be 3D, got shape {data.shape}")
+        # copies only when the samples are not already band-major complex128
+        bands = np.ascontiguousarray(data.transpose(2, 0, 1), dtype=np.complex128)
+        data = bands.transpose(1, 2, 0)
         if wl.ndim != 1 or wl.shape[0] != data.shape[2]:
             raise DimensionMismatch(
                 f"wavelength count {wl.shape} does not match band count {data.shape[2]}"
@@ -61,7 +65,7 @@ class ComplexCube:
             raise NonMonotoneWavelengths("wavelengths must be strictly increasing")
         if not np.all(np.isfinite(wl)):
             raise NonMonotoneWavelengths("wavelengths must be finite")
-        if not np.all(np.isfinite(data)):
+        if not np.all(np.isfinite(bands)):
             raise DimensionMismatch("cube data contains non-finite samples")
         wl.setflags(write=False)
         data.setflags(write=False)
@@ -85,22 +89,23 @@ class ComplexCube:
         return self.data.shape
 
     def band(self, index: int) -> np.ndarray:
-        """Return the 2D complex slice for one band."""
+        """Return the contiguous 2D complex slice for one band."""
         if not 0 <= index < self.n_bands:
             raise DimensionMismatch(f"band {index} outside [0, {self.n_bands})")
         return self.data[:, :, index]
 
 
 def reshape_to_matrix(cube: ComplexCube) -> np.ndarray:
-    """Flatten a cube into its contiguous bands-by-pixels spectral matrix
-    (lossless); row b is band b flattened in C order."""
+    """The cube's bands-by-pixels spectral matrix, a read-only C-contiguous
+    view of its samples; row b is band b flattened in C order."""
     n, m, l = cube.shape
-    return np.ascontiguousarray(cube.data.transpose(2, 0, 1).reshape(l, n * m))
+    return cube.data.transpose(2, 0, 1).reshape(l, n * m)
 
 
 def reshape_to_cube(z: np.ndarray, n_rows: int, n_cols: int, wavelengths) -> ComplexCube:
     """Exact inverse of reshape_to_matrix: the rows of ``z`` become the
-    bands, on the grid ``wavelengths``, of an ``n_rows x n_cols`` cube.
+    bands, on the grid ``wavelengths``, of an ``n_rows x n_cols`` cube.  A
+    C-contiguous complex128 ``z`` is wrapped as it is, without a copy.
 
     Raises DimensionMismatch when ``z`` is not 2D or its pixel count is not
     ``n_rows * n_cols``.
@@ -119,21 +124,21 @@ def reshape_to_cube(z: np.ndarray, n_rows: int, n_cols: int, wavelengths) -> Com
 
 def write_cube(cube: ComplexCube, path) -> None:
     """Write a cube in CHSC format; the byte stream is a bit-exact image of
-    the float64 payload."""
+    the float64 payload, written straight from the cube's buffer."""
     with open(path, "wb") as f:
         f.write(_MAGIC)
         f.write(struct.pack("<I", _VERSION))
         f.write(_HEADER.pack(cube.n_rows, cube.n_cols, cube.n_bands))
         f.write(cube.wavelengths.astype("<f8").tobytes())
-        f.write(cube.data.transpose(2, 0, 1).astype("<c16").tobytes())
+        f.write(cube.data.transpose(2, 0, 1).astype("<c16", copy=False))
 
 
 def read_cube(path) -> ComplexCube:
     """Read a CHSC file, validating the header and payload size.
 
     The size the header declares is checked against the file's size before
-    anything is allocated, and the payload is read one band at a time into
-    the final array, so peak memory stays close to the payload itself.
+    anything is allocated, and the payload is read in one piece into the
+    cube's own buffer, so peak memory stays close to the payload itself.
     """
     with open(path, "rb") as f:
         head = f.read(8 + _HEADER.size)
@@ -160,11 +165,7 @@ def read_cube(path) -> ComplexCube:
             raise TruncatedPayload("file ends inside the wavelength table")
         if l > 1 and not np.all(np.diff(wl) > 0):
             raise NonMonotoneWavelengths("wavelength table is not strictly increasing")
-        data = np.empty((n, m, l), dtype=np.complex128)
-        # no payload backs the n x m of a header without bands
-        band = np.empty((n, m) if l else 0, dtype="<c16")
-        for b in range(l):
-            if f.readinto(band) != band.nbytes:
-                raise TruncatedPayload(f"file ends inside band {b}")
-            data[:, :, b] = band
-    return ComplexCube(wavelengths=wl, data=data)
+        bands = np.empty((l, n, m), dtype="<c16")
+        if f.readinto(bands) != bands.nbytes:
+            raise TruncatedPayload("file ends inside the payload")
+    return ComplexCube(wavelengths=wl, data=bands.transpose(1, 2, 0))

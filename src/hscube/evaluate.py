@@ -89,10 +89,12 @@ def rrmse_amplitude(est: ComplexCube, truth: ComplexCube, band: int) -> float:
 def snr_db(noisy: ComplexCube, truth: ComplexCube) -> float:
     """Total-energy signal-to-noise ratio in dB; +inf when the cubes match."""
     _check_shapes(noisy, truth)
-    noise_energy = float(np.sum(np.abs(noisy.data - truth.data) ** 2))
+    # the sums run in pixel-major (C) order, not in the cube's band-major
+    # memory order, which would round the totals differently
+    noise_energy = float(np.sum(np.abs(np.subtract(noisy.data, truth.data, order="C")) ** 2))
     if noise_energy == 0.0:
         return float("inf")
-    signal_energy = float(np.sum(np.abs(truth.data) ** 2))
+    signal_energy = float(np.sum(np.abs(truth.data, order="C") ** 2))
     return 10.0 * np.log10(signal_energy / noise_energy)
 
 
@@ -116,7 +118,8 @@ def baseline_average(
     wl_um = noisy.wavelengths / 1000.0
     n_lam = refractive_index(model, noisy.wavelengths)
     scale = wl_um / (TWO_PI * (n_lam - 1.0))  # phase -> thickness, per band
-    h = np.angle(noisy.data) * scale[None, None, :]
+    # pixel-major, so that the band mean adds along a contiguous axis
+    h = np.multiply(np.angle(noisy.data), scale[None, None, :], order="C")
     if mode == "global":
         h_avg = np.broadcast_to(h.mean(axis=2, keepdims=True), h.shape)
     else:
@@ -124,10 +127,8 @@ def baseline_average(
         h_avg[:, :, :-1] = 0.5 * (h[:, :, :-1] + h[:, :, 1:])
         h_avg[:, :, -1] = 0.5 * (h[:, :, -2] + h[:, :, -1])
     phases = h_avg / scale[None, None, :]
-    return ComplexCube(
-        wavelengths=noisy.wavelengths,
-        data=np.abs(noisy.data) * np.exp(1j * phases),
-    )
+    data = np.multiply(np.abs(noisy.data), np.exp(1j * phases), out=np.empty_like(noisy.data))
+    return ComplexCube(wavelengths=noisy.wavelengths, data=data)
 
 
 def per_slice_cdbm3d(noisy: ComplexCube, cfg: DenoiseConfig, threads: int = 1) -> ComplexCube:
@@ -137,9 +138,7 @@ def per_slice_cdbm3d(noisy: ComplexCube, cfg: DenoiseConfig, threads: int = 1) -
         return lambda: denoise_image(noisy.band(b), cfg)
 
     slices = run_jobs([make_job(b) for b in range(noisy.n_bands)], threads)
-    return ComplexCube(
-        wavelengths=noisy.wavelengths, data=np.stack(slices, axis=2)
-    )
+    return ComplexCube(wavelengths=noisy.wavelengths, data=np.stack(slices).transpose(1, 2, 0))
 
 
 def baseline_separate(noisy: ComplexCube, cfg: DenoiseConfig, threads: int = 1) -> ComplexCube:
@@ -162,7 +161,7 @@ def baseline_separate(noisy: ComplexCube, cfg: DenoiseConfig, threads: int = 1) 
         return job
 
     slices = run_jobs([make_job(b) for b in range(noisy.n_bands)], threads)
-    return ComplexCube(wavelengths=noisy.wavelengths, data=np.stack(slices, axis=2))
+    return ComplexCube(wavelengths=noisy.wavelengths, data=np.stack(slices).transpose(1, 2, 0))
 
 
 # ---------------------------------------------------------------------------
@@ -469,6 +468,30 @@ def make_report(
     )
 
 
+def _attempt(build, *args):
+    """``build(*args)``, or the exception it raised, so that every
+    combination built on it fails on its own instead of ending the sweep."""
+    try:
+        return build(*args)
+    except Exception as exc:  # noqa: BLE001 - raised again per combination
+        return exc
+
+
+def _truth(obj: ObjectDef, manifest: Manifest) -> ComplexCube:
+    dims = (manifest.n_rows, manifest.n_cols)
+    spec = obj.build(*dims, manifest.dispersion, manifest.lambda_lo)
+    wavelengths = np.linspace(manifest.lambda_lo, manifest.lambda_hi, manifest.n_bands)
+    return generate_truth(spec, manifest.dispersion, dims, wavelengths)
+
+
+def _noisy_input(truth, sigma: float, seed: int):
+    """The noisy cube for one sigma and seed, and its input SNR."""
+    if isinstance(truth, Exception):
+        raise truth
+    noisy = add_noise(truth, NoiseSpec(sigma=sigma, seed=seed))
+    return noisy, snr_db(noisy, truth)
+
+
 def run_experiment(manifest: Manifest, threads: int = 1, measure_time: bool = False):
     """Execute all combinations; returns (reports, failures).
 
@@ -478,19 +501,17 @@ def run_experiment(manifest: Manifest, threads: int = 1, measure_time: bool = Fa
     """
     reports: list[MetricsReport] = []
     failures: list[tuple[str, str]] = []
-    wavelengths = np.linspace(manifest.lambda_lo, manifest.lambda_hi, manifest.n_bands)
     for obj in manifest.objects:
-        spec = obj.build(manifest.n_rows, manifest.n_cols, manifest.dispersion, manifest.lambda_lo)
-        truth = generate_truth(
-            spec, manifest.dispersion, (manifest.n_rows, manifest.n_cols), wavelengths
-        )
+        truth = _attempt(_truth, obj, manifest)
         for sigma in manifest.sigmas:
             for seed in manifest.seeds:
-                noisy = add_noise(truth, NoiseSpec(sigma=sigma, seed=seed))
-                snr = snr_db(noisy, truth)
+                inputs = _attempt(_noisy_input, truth, sigma, seed)
                 for method in manifest.methods:
                     label = f"{obj.name}/sigma={sigma}/seed={seed}/{method.report_label}"
                     try:
+                        if isinstance(inputs, Exception):
+                            raise inputs
+                        noisy, snr = inputs
                         t0 = time.perf_counter()
                         est, diags = apply_method(
                             method, noisy, sigma, manifest.dispersion, threads=threads

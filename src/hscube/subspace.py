@@ -59,9 +59,15 @@ def _hermitize(r: np.ndarray) -> np.ndarray:
     return 0.5 * (r + r.conj().T)
 
 
+def _check_2d(z: np.ndarray) -> None:
+    if z.ndim != 2:
+        raise DimensionMismatch(f"spectral matrix must be 2D, got shape {z.shape}")
+
+
 def _regress_bands(z: np.ndarray):
     """Band correlation R_y = Z Z^H / n and the residual variance of each
     band regressed on the others (see ``estimate_noise``)."""
+    _check_2d(z)
     l, n = z.shape
     if l < 3:
         raise TooFewBands(f"need at least 3 bands, got {l}")
@@ -145,6 +151,7 @@ def identify_subspace(z: np.ndarray) -> EigenBasis:
 
 def project(z: np.ndarray, basis: EigenBasis) -> np.ndarray:
     """Project band rows onto the subspace: E^H Z, a p-by-pixels matrix."""
+    _check_2d(z)
     if z.shape[0] != basis.n_bands:
         raise DimensionMismatch(f"matrix has {z.shape[0]} bands, basis expects {basis.n_bands}")
     return basis.E.conj().T @ z
@@ -152,6 +159,7 @@ def project(z: np.ndarray, basis: EigenBasis) -> np.ndarray:
 
 def back_project(zeig: np.ndarray, basis: EigenBasis) -> np.ndarray:
     """Return from subspace coordinates to band space: E Zeig."""
+    _check_2d(zeig)
     if zeig.shape[0] != basis.p:
         raise DimensionMismatch(
             f"matrix has {zeig.shape[0]} rows, basis holds {basis.p} eigenvectors"

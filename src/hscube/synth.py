@@ -298,13 +298,13 @@ def generate_truth(
     wl = np.asarray(wavelengths, dtype=np.float64)
     n_bands = wl.size
     amp = spec.amplitude if spec.amplitude is not None else np.ones((n_rows, n_cols))
-    data = np.empty((n_rows, n_cols, n_bands), dtype=np.complex128)
+    bands = np.empty((n_bands, n_rows, n_cols), dtype=np.complex128)
     n_of_lambda = refractive_index(model, wl)
     for b in range(n_bands):
         h = spec.thickness_at(b / n_bands)
         phi = TWO_PI * h * (n_of_lambda[b] - 1.0) / (wl[b] / 1000.0)
-        data[:, :, b] = amp * np.exp(1j * phi)
-    return ComplexCube(wavelengths=wl, data=data)
+        bands[b] = amp * np.exp(1j * phi)
+    return ComplexCube(wavelengths=wl, data=bands.transpose(1, 2, 0))
 
 
 @dataclass(frozen=True)
@@ -330,7 +330,8 @@ def add_noise(cube: ComplexCube, noise: NoiseSpec) -> ComplexCube:
         return ComplexCube(wavelengths=cube.wavelengths, data=cube.data)
     rng = np.random.Generator(np.random.Philox(noise.seed))
     comp = rng.normal(scale=noise.sigma / np.sqrt(2.0), size=cube.shape + (2,))
-    return ComplexCube(
-        wavelengths=cube.wavelengths,
-        data=cube.data + comp[..., 0] + 1j * comp[..., 1],
-    )
+    # the (re, im) pairs read as complex samples, summed into an array laid
+    # out band-major as the cube's, so the result needs no copy
+    noise = comp.view(np.complex128)[..., 0]
+    data = np.add(cube.data, noise, out=np.empty_like(cube.data))
+    return ComplexCube(wavelengths=cube.wavelengths, data=data)

@@ -173,6 +173,25 @@ class TestCcfDenoise:
         assert out.shape == cube.shape and not np.any(out.data)
         assert diags[0]["p"] == 0 and diags[0]["sigma_eigen"] == []
 
+    def test_peak_memory_below_twice_the_payload(self):
+        # the spectral matrix is a view of the cube and the result wraps the
+        # back-projection: the cube-sized arrays made are the estimate and the
+        # conjugate inside the band correlation, never both at once
+        rng = np.random.default_rng(6)
+        clean = rank3_cube(rng, l=120, side=48).data
+        noisy = clean + 0.5 * (rng.normal(size=clean.shape) + 1j * rng.normal(size=clean.shape))
+        cube = hs.ComplexCube(wavelengths=np.linspace(400, 700, 120), data=noisy)
+        del clean, noisy
+        cfg = DenoiseConfig(stages=Stages.THRESHOLD_ONLY)
+        ccf_denoise(cube, cfg)  # fill the sigma calibration outside the trace
+        tracemalloc.start()
+        try:
+            ccf_denoise(cube, cfg)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * cube.data.nbytes
+
     def test_diagnostics_recorded(self, small_noisy_pair):
         _, noisy = small_noisy_pair
         diags = []
@@ -239,6 +258,19 @@ class TestCcfSliding:
         a = ccf_sliding(noisy, cfg, WindowSpec(16, 6), threads=1)
         b = ccf_sliding(noisy, cfg, WindowSpec(16, 6), threads=3)
         assert np.array_equal(a.data, b.data)
+
+    def test_window_sub_cubes_share_the_input_memory(self, small_noisy_pair, monkeypatch):
+        _, noisy = small_noisy_pair
+        shared = []
+
+        def spy(sub, *args, **kwargs):
+            shared.append(np.shares_memory(sub.data, noisy.data))
+            return ccf_denoise(sub, *args, **kwargs)
+
+        monkeypatch.setattr(hs.ccf, "ccf_denoise", spy)
+        window = WindowSpec(16, 8)
+        ccf_sliding(noisy, DenoiseConfig(stages=Stages.THRESHOLD_ONLY), window)
+        assert len(shared) == len(sliding_plan(noisy.n_bands, window)) and all(shared)
 
     def test_peak_memory_does_not_grow_with_windows(self):
         # finished window jobs hold only the bands they own: one cube in all

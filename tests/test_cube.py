@@ -54,13 +54,25 @@ class TestCubeModel:
             cube.data[0, 0, 0] = 1.0
 
     def test_caller_arrays_stay_writeable(self):
-        data = np.zeros((2, 2, 2), complex)
         wl = np.array([400.0, 500.0])
-        cube = ComplexCube(wavelengths=wl, data=data)
-        assert data.flags.writeable and wl.flags.writeable
+        bands = np.zeros((2, 3, 4), complex)  # band-major: (bands, rows, cols)
+        cube = ComplexCube(wavelengths=wl, data=bands.transpose(1, 2, 0))
+        assert bands.flags.writeable and wl.flags.writeable
         assert not cube.data.flags.writeable and not cube.wavelengths.flags.writeable
-        assert np.shares_memory(cube.data, data)  # still zero-copy
-        data[0, 0, 0] = 1.0
+        assert np.shares_memory(cube.data, bands)  # band-major memory is not copied
+        bands[0, 0, 0] = 1.0
+        pixel_major = np.zeros((3, 4, 2), complex)
+        copied = ComplexCube(wavelengths=wl, data=pixel_major)
+        assert not np.shares_memory(copied.data, pixel_major)  # copied once, to band-major
+        assert pixel_major.flags.writeable
+        pixel_major[0, 0, 0] = 1.0
+        assert copied.data[0, 0, 0] == 0
+
+    def test_samples_held_band_major(self):
+        cube = random_cube(np.random.default_rng(10), 4, 5, 6)
+        assert cube.data.shape == (4, 5, 6)
+        assert cube.data.transpose(2, 0, 1).flags.c_contiguous
+        assert all(cube.band(b).flags.c_contiguous for b in range(cube.n_bands))
 
     def test_band_slices_reassemble(self):
         cube = random_cube(np.random.default_rng(1), 4, 5, 6)
@@ -114,11 +126,19 @@ class TestReshape:
         cube = random_cube(np.random.default_rng(5), 3, 4, 5)
         before = cube.data.tobytes()
         mat = reshape_to_matrix(cube)
-        mat_before = mat.tobytes()
+        with pytest.raises(ValueError):  # a read-only view, not a writeable copy
+            mat[0, 0] = 1.0
         back = reshape_to_cube(mat, 3, 4, cube.wavelengths)
-        assert cube.data.tobytes() == before and mat.tobytes() == mat_before
-        assert mat.flags.writeable  # the cube froze its own view only
+        assert cube.data.tobytes() == before
         assert np.array_equal(back.data, cube.data)
+
+    def test_passages_share_the_cube_memory(self):
+        cube = random_cube(np.random.default_rng(11), 3, 4, 5)
+        mat = reshape_to_matrix(cube)
+        assert np.shares_memory(mat, cube.data)
+        assert mat.flags.c_contiguous and not mat.flags.writeable
+        z = np.arange(24, dtype=complex).reshape(2, 12)
+        assert np.shares_memory(reshape_to_cube(z, 3, 4, np.array([400.0, 500.0])).data, z)
 
     @settings(max_examples=25, deadline=None)
     @given(
@@ -204,6 +224,16 @@ class TestChscFiles:
             tracemalloc.stop()
         assert back.shape == (64, 64, 200)
         assert peak <= 1.25 * payload
+
+    def test_write_peak_memory_far_below_payload(self, tmp_path):
+        cube = random_cube(np.random.default_rng(12), 64, 64, 50)
+        tracemalloc.start()
+        try:
+            write_cube(cube, tmp_path / "large.chsc")
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 0.1 * cube.data.nbytes
 
     def test_zero_band_header_allocates_no_band(self, tmp_path):
         path = tmp_path / "no_bands.chsc"

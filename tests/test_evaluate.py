@@ -114,6 +114,18 @@ class TestSnr:
         noisy = hs.add_noise(truth, hs.NoiseSpec(sigma=2.5, seed=1))
         assert hs.snr_db(noisy, truth) == pytest.approx(-8.0, abs=1.0)
 
+    def test_sums_in_pixel_major_order(self):
+        # the cube holds its samples band-major; the energies still add
+        # pixel-major, so the ratio is the same float in either layout
+        rng = np.random.default_rng(21)
+        shape = (17, 23, 9)
+        a, b = (rng.normal(size=shape) + 1j * rng.normal(size=shape) for _ in range(2))
+        wl = np.linspace(400, 500, 9)
+        got = hs.snr_db(hs.ComplexCube(wl, a), hs.ComplexCube(wl, b))
+        signal = float(np.sum(np.abs(b) ** 2))
+        noise = float(np.sum(np.abs(a - b) ** 2))
+        assert got == 10.0 * np.log10(signal / noise)
+
     def test_zero_noise_sentinel(self):
         cube = tiny_cube(np.random.default_rng(5))
         assert hs.snr_db(cube, cube) == float("inf")
@@ -125,6 +137,17 @@ class TestBaselineAverage:
         truth = hs.generate_truth(spec, bk7_model, (16, 16), hs.default_wavelengths(10))
         out = hs.baseline_average(truth, bk7_model, "global")
         assert np.max(np.abs(np.angle(out.data) - np.angle(truth.data))) <= 1e-10
+
+    def test_band_mean_adds_in_pixel_major_order(self, bk7_model):
+        # as for snr_db: the same floats whichever layout holds the samples
+        rng = np.random.default_rng(22)
+        data = np.exp(1j * rng.uniform(-3.0, 3.0, size=(17, 23, 9)))
+        wl = np.linspace(400, 500, 9)
+        out = hs.baseline_average(hs.ComplexCube(wl, data), bk7_model, "global")
+        scale = (wl / 1000.0) / (2.0 * np.pi * (hs.refractive_index(bk7_model, wl) - 1.0))
+        h = np.angle(data) * scale
+        expected = np.abs(data) * np.exp(1j * (h.mean(axis=2, keepdims=True) / scale))
+        assert np.array_equal(out.data, expected)
 
     def test_pairwise_mode_runs(self, bk7_model):
         spec = hs.two_peak_spec(16, 16, bk7_model)
@@ -293,6 +316,34 @@ class TestRunExperiment:
         assert len(failures) == 1
         assert "average" in failures[0][0]
         assert len(reports) == 1
+
+    def test_bad_values_of_a_hand_built_manifest_fail_per_combination(self):
+        # the dataclasses a parsed manifest passes through check these values;
+        # a hand-built one reaches run_experiment with them
+        m = parse_manifest(small_manifest(size=[16, 8, 8], methods=[{"name": "noop"}]))
+        m = dataclasses.replace(
+            m,
+            objects=m.objects + (ObjectDef(kind=ObjectKind.COMPOUND, name="bars"),),
+            sigmas=(0.5, float("inf")),
+            seeds=(3, -1),
+        )
+        reports, failures = run_experiment(m)
+        assert [(r.object_name, r.sigma, r.seed) for r in reports] == [("two-peak", 0.5, 3)]
+        labels = [label for label, _ in failures]
+        assert labels == [
+            "two-peak/sigma=0.5/seed=-1/noop",
+            "two-peak/sigma=inf/seed=3/noop",
+            "two-peak/sigma=inf/seed=-1/noop",
+            "bars/sigma=0.5/seed=3/noop",
+            "bars/sigma=0.5/seed=-1/noop",
+            "bars/sigma=inf/seed=3/noop",
+            "bars/sigma=inf/seed=-1/noop",
+        ]
+        messages = dict(failures)
+        assert messages["two-peak/sigma=inf/seed=3/noop"].startswith("InvalidConfig: sigma")
+        assert messages["two-peak/sigma=0.5/seed=-1/noop"].startswith("InvalidConfig: seed")
+        assert all(messages[label].startswith("DimensionMismatch: compound")
+                   for label in labels[3:])
 
     def test_noop_matches_input_error(self):
         m = parse_manifest(small_manifest(methods=[{"name": "noop"}]))

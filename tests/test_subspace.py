@@ -245,6 +245,21 @@ class TestProjection:
         with pytest.raises(DimensionMismatch):
             back_project(np.zeros((basis.p + 1, 64), complex), basis)
 
+    def test_rejects_arrays_that_are_not_2d(self):
+        rng = np.random.default_rng(17)
+        z, basis = self.make_basis(rng)
+        for bad in (np.zeros(10, complex), np.zeros((4, 8, 64), complex)):
+            with pytest.raises(DimensionMismatch):
+                identify_subspace(bad)
+            with pytest.raises(DimensionMismatch):
+                estimate_noise(bad)
+        with pytest.raises(DimensionMismatch):
+            project(z[:, 0], basis)
+        with pytest.raises(DimensionMismatch):
+            back_project(np.zeros(basis.p, complex), basis)
+        with pytest.raises(DimensionMismatch):
+            project(z[None], basis)
+
     def test_leaves_the_callers_arrays_unchanged(self):
         rng = np.random.default_rng(15)
         z, basis = self.make_basis(rng)
