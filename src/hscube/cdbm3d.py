@@ -15,11 +15,15 @@ The heavy lifting is batched: groups that matched the same number of
 patches are factored, shrunk, inverted and aggregated together through
 stacked linear algebra, in chunks whose gathered group tensor holds at most
 ``_CHUNK_BYTES``.  Chunks are sized in bytes, not groups, so that a chunk's
-temporaries stay in cache and, freed and reused chunk after chunk, stay
-below the allocator's trim threshold: larger chunks made glibc hand their
-pages back to the kernel at the end of every chunk and fault them in again
-at the start of the next.  The filter's memory does not grow with the image
-beyond its image-sized accumulators and match lists.  Batched groups stay
+temporaries stay in cache.  Freed and reused chunk after chunk, they stay
+in the heap only once glibc's dynamic mmap and trim thresholds have been
+raised past them, which glibc does only after the process frees a large
+mapped block; each pass therefore frees one first
+(``_raise_malloc_thresholds``), whatever the process allocated before.
+Matching works on tiles of ``_MATCH_TILE`` pixels a side.  The filter's
+memory does not grow with the image beyond its image-sized accumulators and
+match lists: one call on a 128x128 image peaks at about 7 MB of traced
+heap.  Batched groups stay
 in gather order (K, rows, cols, then [re, im] under ImRe4D), and every mode
 product and mode Gram is one stacked GEMM on the last axis of a contiguous
 stack, with no unfolding copy (``_contract_last``).
@@ -264,7 +268,7 @@ def _nearest(dist: np.ndarray, keep: int):
     return np.take_along_axis(idx, order, axis=1), np.take_along_axis(d, order, axis=1)
 
 
-_MATCH_TILE = 6  # side of the square matching tiles, in patch steps
+_MATCH_TILE = 18  # side of the square matching tiles, in pixels
 
 
 def _match(match_image: np.ndarray, refs, cfg: DenoiseConfig):
@@ -273,12 +277,15 @@ def _match(match_image: np.ndarray, refs, cfg: DenoiseConfig):
 
     Members are the reference, then up to ``max_group_size - 1`` other
     patches of its search window in ascending distance, ties broken by
-    (row, col).  References are matched a tile at a time against the patches
-    of the box covering the tile's search windows only, so the cost grows
-    with the pixel count, not its square.  Distances use the expansion
-    ||P_ref - P||^2 = ||P||^2 - 2 Re<P, P_ref> + ||P_ref||^2, so the cross
-    terms of a whole tile come out of a single real matrix product over the
-    interleaved (re, im) samples of the patches.
+    (row, col).  References are matched a tile of ``_MATCH_TILE`` pixels a
+    side at a time against the patches of the box covering the tile's search
+    windows only, so the cost grows with the pixel count, not its square, and
+    the box does not grow with the reference grid's step.  Distances use the
+    expansion ||P_ref - P||^2 = ||P||^2 - 2 Re<P, P_ref> + ||P_ref||^2, so the
+    cross terms of a whole tile come out of a single real matrix product over
+    the interleaved (re, im) samples of the patches; the box's patch samples
+    are freed right after it, and the distances are evaluated in place on
+    the product.
     """
     pr, pc = cfg.patch_rows, cfg.patch_cols
     n_px = pr * pc
@@ -290,9 +297,8 @@ def _match(match_image: np.ndarray, refs, cfg: DenoiseConfig):
     norms = _patch_energies(match_image, pr, pc)
     n_vr, n_vc = norms.shape
 
-    side = _MATCH_TILE * cfg.patch_step  # about _MATCH_TILE**2 grid references per tile
-    tiles = refs // side
-    tile_id = tiles[:, 0] * (n_vc // side + 1) + tiles[:, 1]
+    tiles = refs // _MATCH_TILE
+    tile_id = tiles[:, 0] * (n_vc // _MATCH_TILE + 1) + tiles[:, 1]
     by_tile = np.argsort(tile_id, kind="stable")
     groups = [None] * len(refs)
     for members in np.split(by_tile, np.flatnonzero(np.diff(tile_id[by_tile])) + 1):
@@ -305,9 +311,14 @@ def _match(match_image: np.ndarray, refs, cfg: DenoiseConfig):
         feats = sliding_window_view(box, (pr, pc)).reshape(bh * bw, n_px)
         feats = np.ascontiguousarray(feats).view(np.float64)
         own = (r - br) * bw + (c - bc)
-        cross = feats @ feats[own].T
+        dist = (feats @ feats[own].T).T  # (tile, box) cross terms
+        del feats
+        # (||P||^2 - 2 cross + ||P_ref||^2) / n_px; a - 2c is exactly a + (-2c)
         box_norms = norms[br : br + bh, bc : bc + bw].ravel()
-        dist = (box_norms - 2.0 * cross.T + box_norms[own, None]) / n_px
+        np.multiply(dist, -2.0, out=dist)
+        np.add(box_norms, dist, out=dist)
+        np.add(dist, box_norms[own, None], out=dist)
+        np.divide(dist, n_px, out=dist)
         np.maximum(dist, 0.0, out=dist)
 
         # only the reference's own window, without the reference itself
@@ -478,6 +489,27 @@ def _rescaled(cfg: DenoiseConfig, e: int) -> DenoiseConfig:
 _CHUNK_BYTES = 512 * 1024  # bytes of one chunk's gathered group tensor
 
 
+_MMAP_THRESHOLD_MAX = 32 * 2**20  # glibc raises its mmap threshold to at most this
+
+
+def _raise_malloc_thresholds():
+    """Allocate a block of 8 * ``_CHUNK_BYTES`` (at most
+    ``_MMAP_THRESHOLD_MAX``) and free it untouched.
+
+    glibc serves blocks above its mmap threshold (128 KiB at start) with a
+    fresh mapping, whose pages fault in on first use and go back to the
+    kernel on free, and trims the top of its heap once more than its trim
+    threshold is free.  Both thresholds are dynamic: freeing a mapped block
+    raises the mmap threshold to the block's size and the trim threshold to
+    twice that.  After this call a chunk's temporaries come from the heap
+    and stay there, chunk after chunk, whatever the process allocated
+    before; the cost is one mmap/munmap pair.  Allocators without a dynamic
+    threshold are not affected.  ``mallopt`` is not used: it would fix the
+    process-wide settings for good.
+    """
+    np.empty(min(8 * _CHUNK_BYTES, _MMAP_THRESHOLD_MAX), dtype=np.uint8)
+
+
 def _grouped_cores(match_image: np.ndarray, images, cfg: DenoiseConfig):
     """Match on ``match_image`` and group every image in ``images`` at the
     matched corners.
@@ -492,6 +524,7 @@ def _grouped_cores(match_image: np.ndarray, images, cfg: DenoiseConfig):
     real.  Every step works per group, so the chunk size does not change a
     bit of the result.
     """
+    _raise_malloc_thresholds()
     views = [sliding_window_view(im, (cfg.patch_rows, cfg.patch_cols)) for im in images]
     groups = _collect_groups(match_image, cfg)
     imre = cfg.variant is Variant.IMRE_4D

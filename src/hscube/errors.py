@@ -43,7 +43,8 @@ class OutOfBounds(HscubeError, IndexError):
 
 
 class TooFewBands(HscubeError, ValueError):
-    """Noise estimation needs at least three spectral bands."""
+    """The cube has too few spectral bands: noise estimation needs three,
+    the per-band baselines one."""
 
 
 class TooFewPixels(HscubeError, ValueError):

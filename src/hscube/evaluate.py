@@ -19,7 +19,14 @@ import numpy as np
 from .ccf import WindowSpec, ccf_denoise, ccf_sliding
 from .cdbm3d import DenoiseConfig, Stages, Variant, _check_real, denoise_image, estimate_sigma
 from .cube import ComplexCube
-from .errors import DimensionMismatch, DispersionRequired, InvalidConfig, ManifestError, ZeroReference
+from .errors import (
+    DimensionMismatch,
+    DispersionRequired,
+    InvalidConfig,
+    ManifestError,
+    TooFewBands,
+    ZeroReference,
+)
 from .parallel import _single_threaded_blas, run_jobs
 from .synth import (
     TWO_PI,
@@ -102,6 +109,11 @@ def snr_db(noisy: ComplexCube, truth: ComplexCube) -> float:
 # baseline filters
 
 
+def _require_bands(cube: ComplexCube):
+    if cube.n_bands == 0:
+        raise TooFewBands("need at least 1 band, got 0")
+
+
 def baseline_average(
     noisy: ComplexCube, model: DispersionModel | None, mode: str = "global"
 ) -> ComplexCube:
@@ -109,12 +121,16 @@ def baseline_average(
     and recompute the phases; amplitudes pass through unchanged.
 
     ``global`` averages over all bands, ``pairwise`` over neighboring band
-    pairs only (for phases that wrap).
+    pairs only (for phases that wrap); a single band has no neighbor and is
+    returned unchanged.  A cube without bands raises ``TooFewBands``.
     """
     if model is None:
         raise DispersionRequired("thickness averaging needs a dispersion model")
     if mode not in ("global", "pairwise"):
         raise ValueError(f"unknown averaging mode {mode!r}")
+    _require_bands(noisy)
+    if mode == "pairwise" and noisy.n_bands == 1:
+        return noisy
     wl_um = noisy.wavelengths / 1000.0
     n_lam = refractive_index(model, noisy.wavelengths)
     scale = wl_um / (TWO_PI * (n_lam - 1.0))  # phase -> thickness, per band
@@ -133,6 +149,7 @@ def baseline_average(
 
 def per_slice_cdbm3d(noisy: ComplexCube, cfg: DenoiseConfig, threads: int = 1) -> ComplexCube:
     """Filter every band independently with the complex patch filter."""
+    _require_bands(noisy)
 
     def make_job(b):
         return lambda: denoise_image(noisy.band(b), cfg)
@@ -146,6 +163,7 @@ def baseline_separate(noisy: ComplexCube, cfg: DenoiseConfig, threads: int = 1) 
     images, then recombine.  Each real image is filtered with the
     per-component deviation sigma/sqrt(2); negative filtered amplitudes are
     clamped to zero."""
+    _require_bands(noisy)
 
     def make_job(b):
         def job():

@@ -1,9 +1,14 @@
 import functools
 import itertools
 import math
+import os
+import platform
+import subprocess
 import sys
+import textwrap
 import tracemalloc
 from dataclasses import replace
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -173,13 +178,135 @@ class TestBlockMatch:
         extra = data.draw(st.lists(
             st.tuples(st.integers(0, n_vr - 1), st.integers(0, n_vc - 1)), max_size=6))
         refs = [(int(r), int(c)) for r, c in grid] + extra
-        tile = data.draw(st.sampled_from([1, 2, cdbm3d._MATCH_TILE]))
+        # tile sides in pixels: one, one below the grid step, and the default
+        tile = data.draw(st.sampled_from([1, max(1, cfg.patch_step - 1), cdbm3d._MATCH_TILE]))
         with mock.patch.object(cdbm3d, "_MATCH_TILE", tile):
             groups = cdbm3d._match(img, refs, cfg)
         assert len(groups) == len(refs)
         for ref, (rows, cols) in zip(refs, groups):
             expected_rows, expected_cols = brute_force_members(img, ref, cfg)
             assert rows.tolist() == expected_rows and cols.tolist() == expected_cols
+
+
+def step_tiled_match(match_image, refs, cfg, tile_steps=6):
+    """``cdbm3d._match`` as it was when its tiles were ``tile_steps`` grid
+    steps wide and it kept the box's patch samples and the distance
+    temporaries alive together."""
+    pr, pc = cfg.patch_rows, cfg.patch_cols
+    n_px = pr * pc
+    rad = cfg.search_radius
+    keep = cfg.max_group_size - 1
+    refs = np.asarray(refs, dtype=np.intp).reshape(-1, 2)
+    if keep == 0:
+        return [(ref[:1], ref[1:]) for ref in refs]
+    norms = cdbm3d._patch_energies(match_image, pr, pc)
+    n_vr, n_vc = norms.shape
+
+    side = tile_steps * cfg.patch_step
+    tiles = refs // side
+    tile_id = tiles[:, 0] * (n_vc // side + 1) + tiles[:, 1]
+    by_tile = np.argsort(tile_id, kind="stable")
+    groups = [None] * len(refs)
+    for members in np.split(by_tile, np.flatnonzero(np.diff(tile_id[by_tile])) + 1):
+        r, c = refs[members, 0], refs[members, 1]
+        r0, r1 = np.maximum(r - rad, 0), np.minimum(r + rad, n_vr - 1)
+        c0, c1 = np.maximum(c - rad, 0), np.minimum(c + rad, n_vc - 1)
+        br, bc = r0.min(), c0.min()
+        bh, bw = r1.max() - br + 1, c1.max() - bc + 1
+        box = match_image[br : br + bh + pr - 1, bc : bc + bw + pc - 1]
+        feats = sliding_window_view(box, (pr, pc)).reshape(bh * bw, n_px)
+        feats = np.ascontiguousarray(feats).view(np.float64)
+        own = (r - br) * bw + (c - bc)
+        cross = feats @ feats[own].T
+        box_norms = norms[br : br + bh, bc : bc + bw].ravel()
+        dist = (box_norms - 2.0 * cross.T + box_norms[own, None]) / n_px
+        np.maximum(dist, 0.0, out=dist)
+
+        box_r, box_c = np.arange(br, br + bh), np.arange(bc, bc + bw)
+        in_r = (box_r >= r0[:, None]) & (box_r <= r1[:, None])
+        in_c = (box_c >= c0[:, None]) & (box_c <= c1[:, None])
+        outside = ~(in_r[:, :, None] & in_c[:, None, :]).reshape(dist.shape)
+        outside[np.arange(len(members)), own] = True
+        if cfg.match_threshold is not None:
+            outside |= dist > cfg.match_threshold
+        dist[outside] = np.inf
+
+        idx, d = cdbm3d._nearest(dist, keep)
+        found = d < np.inf
+        flat = idx[found]
+        counts = found.sum(axis=1)
+        starts = np.cumsum(counts) - counts
+        rows = np.insert(br + flat // bw, starts, r)
+        cols = np.insert(bc + flat % bw, starts, c)
+        splits = np.cumsum(counts + 1)[:-1]
+        for gi, rr, cc in zip(members, np.split(rows, splits), np.split(cols, splits)):
+            groups[gi] = (rr, cc)
+    return groups
+
+
+@functools.lru_cache(maxsize=None)
+def noisy_compound_band(rows, cols):
+    """Band 0 of the compound object with complex noise of deviation 1.3."""
+    model = hs.bk7()
+    spec = hs.compound_spec(rows, cols, model, 400.0)
+    truth = hs.generate_truth(spec, model, (rows, cols), np.array([400.0]))
+    return hs.add_noise(truth, hs.NoiseSpec(sigma=1.3, seed=7)).band(0)
+
+
+def noise_probe(cfg):
+    """The configuration ``estimate_sigma`` groups with."""
+    return replace(cfg, patch_step=max(cfg.patch_rows, cfg.patch_cols),
+                   max_group_size=min(cfg.max_group_size, 8), match_threshold=None,
+                   sigma=0.0, variant=Variant.COMPLEX_3D)
+
+
+class TestPixelTiles:
+    """Tiles ``_MATCH_TILE`` pixels a side, with the distances evaluated in
+    place on the cross product, against the step-sized tiles they replaced:
+    the cross products are the same GEMMs and the distances the same
+    operations, so groups are identical on float images too, not only on
+    the small integers of the brute-force comparison."""
+
+    @pytest.mark.parametrize("threshold", [None, 3.0])
+    @pytest.mark.parametrize("probe", [False, True], ids=["stage", "probe"])
+    @pytest.mark.parametrize("shape", [(64, 64), (128, 128), (20, 90)],
+                             ids=["64", "128", "narrower-than-a-window"])
+    def test_same_groups_as_step_tiles(self, shape, probe, threshold):
+        img = noisy_compound_band(*shape)
+        cfg = DenoiseConfig(match_threshold=threshold)
+        if probe:
+            cfg = replace(noise_probe(cfg), match_threshold=threshold)
+            assert cfg.patch_step == 8 and cfg.max_group_size == 8
+        refs = [(int(r), int(c))
+                for r in cdbm3d._reference_grid(shape[0], cfg.patch_rows, cfg.patch_step)
+                for c in cdbm3d._reference_grid(shape[1], cfg.patch_cols, cfg.patch_step)]
+        groups = cdbm3d._match(img, refs, cfg)
+        expected = step_tiled_match(img, refs, cfg)
+        assert len(groups) == len(expected) == len(refs)
+        for (rows, cols), (exp_rows, exp_cols) in zip(groups, expected):
+            assert np.array_equal(rows, exp_rows) and np.array_equal(cols, exp_cols)
+        sizes = {rows.size for rows, _ in groups}
+        if threshold is None:
+            assert sizes == {cfg.max_group_size}
+        else:
+            assert len(sizes) > 1  # the threshold prunes some groups
+
+    def test_probe_box_does_not_grow_with_the_step(self, monkeypatch):
+        # the noise probe's grid step is 8: step-sized tiles spanned 48 pixels
+        # and matched against boxes of up to 79^2 patch positions
+        img = noisy_compound_band(128, 128)
+        probe = noise_probe(DenoiseConfig())
+        positions = []
+        real_view = cdbm3d.sliding_window_view
+
+        def view(box, shape):
+            positions.append((box.shape[0] - shape[0] + 1) * (box.shape[1] - shape[1] + 1))
+            return real_view(box, shape)
+
+        monkeypatch.setattr(cdbm3d, "sliding_window_view", view)
+        cdbm3d._collect_groups(img, probe)
+        side = cdbm3d._MATCH_TILE + 2 * probe.search_radius  # a tile, a radius each way
+        assert max(positions) <= side * side < 60 * 60
 
 
 class TestHosvd:
@@ -693,6 +820,62 @@ class TestGroupChunks:
         finally:
             tracemalloc.stop()
         assert peak <= 12e6
+
+
+class TestResidentMemory:
+    """The filter's transient memory, traced and in page faults."""
+
+    @staticmethod
+    def traced_peak(fn, *args):
+        tracemalloc.start()
+        try:
+            fn(*args)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        return peak
+
+    def test_peak_memory_at_128(self):
+        # about 14 MB with match tiles 6 grid steps wide, whose box reached
+        # 79^2 patch positions at the noise probe's step 8; about 7 MB with
+        # tiles 18 pixels wide and the patch samples freed before the distances
+        img = noisy_compound_band(128, 128)
+        estimate_sigma(img)  # fill the calibration cache outside the trace
+        assert self.traced_peak(denoise_image, img, DenoiseConfig()) <= 8e6
+        stage = self.traced_peak(threshold_stage, img, DenoiseConfig(sigma=1.3))
+        assert self.traced_peak(estimate_sigma, img) <= stage
+
+    @pytest.mark.skipif(not sys.platform.startswith("linux")
+                        or platform.libc_ver()[0] != "glibc",
+                        reason="counts the page faults of glibc's dynamic malloc thresholds")
+    def test_fresh_process_filters_without_faults(self):
+        # In a fresh process glibc maps every block over 128 KiB afresh and
+        # trims its heap top past 256 KiB, so each chunk of the collaborative
+        # pass faulted its temporaries in again: 2,300 to 2,700 minor faults
+        # per call on a 2-vCPU Linux VM.  With the thresholds raised first,
+        # the pass reuses the same heap pages call after call.  The sigma is
+        # given, so no noise probe runs: its calibration image would raise
+        # the thresholds too.
+        code = textwrap.dedent("""
+            import resource
+            import numpy as np
+            from hscube import DenoiseConfig, denoise_image
+            rng = np.random.default_rng(0)
+            img = rng.normal(size=(32, 32)) + 1j * rng.normal(size=(32, 32))
+            cfg = DenoiseConfig(sigma=1.0)
+            denoise_image(img, cfg)
+            before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+            for _ in range(5):
+                denoise_image(img, cfg)
+            print((resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before) / 5)
+        """)
+        src = str(Path(hs.__file__).resolve().parents[1])
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        env = dict(os.environ, PYTHONPATH=path)
+        res = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                             env=env, timeout=300)
+        assert res.returncode == 0, res.stderr
+        assert float(res.stdout) < 100
 
 
 class TestEstimateSigma:

@@ -156,6 +156,32 @@ class TestDenoise:
         )
         assert res.returncode == 0, res.stderr
 
+    def test_pairwise_average_of_one_band_is_the_band(self, tmp_path):
+        # one band has no neighbor to average with
+        rng = np.random.default_rng(3)
+        band = np.exp(1j * rng.uniform(-1, 1, (12, 12, 1))) * rng.uniform(1, 2, (12, 12, 1))
+        write_cube(hs.ComplexCube(wavelengths=np.array([500.0]), data=band), tmp_path / "one.chsc")
+        res = run_cli(
+            "denoise", "--method", "average", "--average-mode", "pairwise",
+            "--dispersion", "1.5046,0.0042", tmp_path / "one.chsc", tmp_path / "avg.chsc",
+        )
+        assert res.returncode == 0, res.stderr
+        assert np.array_equal(read_cube(tmp_path / "avg.chsc").data, band)
+
+    @pytest.mark.parametrize("flags", [
+        ("--method", "average", "--average-mode", "pairwise", "--dispersion", "1.5046,0.0042"),
+        ("--method", "average", "--dispersion", "1.5046,0.0042"),
+        ("--method", "cdbm3d-slice"),
+        ("--method", "separate"),
+    ], ids=["average-pairwise", "average-global", "cdbm3d-slice", "separate"])
+    def test_cube_without_bands_has_too_few_bands(self, tmp_path, flags):
+        empty = hs.ComplexCube(wavelengths=np.zeros(0), data=np.zeros((12, 12, 0), complex))
+        write_cube(empty, tmp_path / "empty.chsc")
+        res = run_cli("denoise", *flags, tmp_path / "empty.chsc", tmp_path / "out.chsc")
+        assert res.returncode == 1
+        assert res.stderr == "error: need at least 1 band, got 0\n"
+        assert not (tmp_path / "out.chsc").exists()
+
     @pytest.mark.parametrize("flags, field", [
         (("--method", "ccf", "--patch", 0, 8), "patch_rows"),
         (("--method", "ccf-sliding", "--window", 0), "width"),
