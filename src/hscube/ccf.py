@@ -20,7 +20,7 @@ import numpy as np
 
 from .cdbm3d import DenoiseConfig, _check_int, _ldexp, _rescaled, _scale_exponent, denoise_image
 from .cube import ComplexCube, reshape_to_cube, reshape_to_matrix
-from .errors import DimensionMismatch
+from .errors import DimensionMismatch, InvalidConfig
 from .parallel import _single_threaded_blas, run_jobs
 from .subspace import back_project, identify_subspace, project
 
@@ -47,6 +47,20 @@ class WindowRun:
     kept: tuple[int, ...]  # absolute band indices this run contributes
 
 
+def _check_edge_width(n_bands: int, window: WindowSpec) -> None:
+    """Reject a width whose plan would fail at its first window: the edge
+    window at band 0 holds ceil(width / 2) bands, and the noise estimate of
+    the subspace needs at least 3.  A window at least as wide as the cube is
+    the whole cube, not an edge window."""
+    edge = (window.width + 1) // 2
+    if window.width < n_bands and edge < 3:
+        raise InvalidConfig(
+            f"width: must be at least 5, or at least the band count {n_bands}, got "
+            f"{window.width}: the edge window at band 0 would hold {edge} band(s), "
+            f"and the noise estimate needs 3"
+        )
+
+
 def sliding_plan(n_bands: int, window: WindowSpec) -> list[WindowRun]:
     """Window centers, their clamped band ranges, and the band ownership map.
 
@@ -56,8 +70,11 @@ def sliding_plan(n_bands: int, window: WindowSpec) -> list[WindowRun]:
     wherever it is centered, so the plan is then one run, centered at the
     middle band.  Bands are owned by the nearest center whose window covers
     them; when the width/step combination leaves some band uncovered the
-    plan is rejected.
+    plan is rejected, and so is a width whose edge windows would hold fewer
+    than the 3 bands the subspace needs (``InvalidConfig``), before any
+    window runs.
     """
+    _check_edge_width(n_bands, window)
     wide = window.width >= n_bands
     centers = np.array([n_bands // 2]) if wide else np.arange(0, n_bands, window.step)
     start = centers - window.width // 2

@@ -20,10 +20,13 @@ in the heap only once glibc's dynamic mmap and trim thresholds have been
 raised past them, which glibc does only after the process frees a large
 mapped block; each pass therefore frees one first
 (``_raise_malloc_thresholds``), whatever the process allocated before.
-Matching works on tiles of ``_MATCH_TILE`` pixels a side.  The filter's
-memory does not grow with the image beyond its image-sized accumulators and
-match lists: one call on a 128x128 image peaks at about 7 MB of traced
-heap.  Batched groups stay
+One chunk is alive at a time: the pass and the noise probe drop each
+chunk's arrays before the next is gathered and factored.  Matching works on
+tiles of ``_MATCH_TILE`` pixels a side, and fills each tile's cross product
+one slab of box rows at a time, so its copy of patch samples stays within
+``_CHUNK_BYTES`` too.  The filter's memory does not grow with the image
+beyond its image-sized accumulators and match lists: one call on a 128x128
+image peaks at about 4.9 MB of traced heap.  Batched groups stay
 in gather order (K, rows, cols, then [re, im] under ImRe4D), and every mode
 product and mode Gram is one stacked GEMM on the last axis of a contiguous
 stack, with no unfolding copy (``_contract_last``).
@@ -164,7 +167,8 @@ def _batched_factors(t: np.ndarray, identity_last: bool = False):
         if not (identity_last and mode == t.ndim - 1):
             a = x.reshape(x.shape[0], -1, x.shape[-1])
             try:
-                _, vecs = np.linalg.eigh(a.swapaxes(1, 2) @ a.conj())
+                # a real stack is its own conjugate: no copy of the chunk
+                _, vecs = np.linalg.eigh(a.swapaxes(1, 2) @ (a.conj() if np.iscomplexobj(a) else a))
             except np.linalg.LinAlgError as exc:  # pragma: no cover - rare
                 raise DecompositionFailed(f"eigendecomposition failed on mode {mode}") from exc
             factors[mode - 1] = u = np.ascontiguousarray(vecs[:, :, ::-1])
@@ -282,10 +286,12 @@ def _match(match_image: np.ndarray, refs, cfg: DenoiseConfig):
     windows only, so the cost grows with the pixel count, not its square, and
     the box does not grow with the reference grid's step.  Distances use the
     expansion ||P_ref - P||^2 = ||P||^2 - 2 Re<P, P_ref> + ||P_ref||^2, so the
-    cross terms of a whole tile come out of a single real matrix product over
-    the interleaved (re, im) samples of the patches; the box's patch samples
-    are freed right after it, and the distances are evaluated in place on
-    the product.
+    cross terms of a whole tile are a real matrix product over the
+    interleaved (re, im) samples of the patches: the tile's own reference
+    patches, copied once, against the box's patches, copied one slab of box
+    rows at a time (at most ``_CHUNK_BYTES`` of samples per slab) into the
+    rows of the (box, tile) product.  The distances are then evaluated in
+    place on the product.
     """
     pr, pc = cfg.patch_rows, cfg.patch_cols
     n_px = pr * pc
@@ -308,11 +314,16 @@ def _match(match_image: np.ndarray, refs, cfg: DenoiseConfig):
         br, bc = r0.min(), c0.min()
         bh, bw = r1.max() - br + 1, c1.max() - bc + 1
         box = match_image[br : br + bh + pr - 1, bc : bc + bw + pc - 1]
-        feats = sliding_window_view(box, (pr, pc)).reshape(bh * bw, n_px)
-        feats = np.ascontiguousarray(feats).view(np.float64)
+        windows = sliding_window_view(box, (pr, pc))
+        ref_feats = windows[r - br, c - bc].reshape(len(members), n_px).view(np.float64)
+        dist = np.empty((bh * bw, len(members)))
+        slab = max(1, _CHUNK_BYTES // (bw * n_px * 16))  # box rows per slab
+        for s in range(0, bh, slab):
+            feats = np.ascontiguousarray(windows[s : s + slab].reshape(-1, n_px))
+            np.matmul(feats.view(np.float64), ref_feats.T, out=dist[s * bw : (s + slab) * bw])
+            del feats  # one slab alive at a time
+        dist = dist.T  # (tile, box) cross terms
         own = (r - br) * bw + (c - bc)
-        dist = (feats @ feats[own].T).T  # (tile, box) cross terms
-        del feats
         # (||P||^2 - 2 cross + ||P_ref||^2) / n_px; a - 2c is exactly a + (-2c)
         box_norms = norms[br : br + bh, bc : bc + bw].ravel()
         np.multiply(dist, -2.0, out=dist)
@@ -332,6 +343,7 @@ def _match(match_image: np.ndarray, refs, cfg: DenoiseConfig):
         dist[outside] = np.inf
 
         idx, d = _nearest(dist, keep)
+        del dist, outside  # freed before the next tile's product
         found = d < np.inf  # a prefix of each row
         flat = idx[found]
         counts = found.sum(axis=1)
@@ -541,7 +553,9 @@ def _grouped_cores(match_image: np.ndarray, images, cfg: DenoiseConfig):
                 tensors = [to_imre(t) for t in tensors]
             factors, core = _batched_factors(tensors[0], identity_last=real_only)
             cores = [core] + [_batched_transform(t, factors, forward=True) for t in tensors[1:]]
+            del tensors, core
             yield rows, cols, factors, cores
+            del factors, cores  # freed before the next chunk is gathered
 
 
 def _collaborative_pass(match_image: np.ndarray, images, cfg: DenoiseConfig, shrink) -> np.ndarray:
@@ -561,6 +575,7 @@ def _collaborative_pass(match_image: np.ndarray, images, cfg: DenoiseConfig, shr
         if cfg.variant is Variant.IMRE_4D:
             est = from_imre(est)
         _scatter(num, den, est, rows, cols, weights, w)
+        del factors, cores, core, est  # freed before the next chunk is gathered
     return num / den
 
 
@@ -629,9 +644,10 @@ def _tail_mad(image: np.ndarray, probe: DenoiseConfig) -> float:
     deviation of real noise; a complex image's real and imaginary parts are
     pooled into the total complex deviation."""
     tail = []
-    for _, _, _, (core,) in _grouped_cores(image, [image], probe):
+    for _, _, factors, (core,) in _grouped_cores(image, [image], probe):
         sl = tuple(slice(d // 2, None) for d in core.shape[1:])
         tail.append(core[(slice(None),) + sl].ravel())
+        del factors, core  # freed before the next chunk is gathered
     coeffs = np.concatenate(tail)
     if not np.any(image.imag):
         return float(np.median(np.abs(coeffs)) / 0.6745)

@@ -16,7 +16,7 @@ from dataclasses import asdict, dataclass, field, fields, replace
 
 import numpy as np
 
-from .ccf import WindowSpec, ccf_denoise, ccf_sliding
+from .ccf import WindowSpec, _check_edge_width, ccf_denoise, ccf_sliding
 from .cdbm3d import DenoiseConfig, Stages, Variant, _check_real, denoise_image, estimate_sigma
 from .cube import ComplexCube
 from .errors import (
@@ -357,6 +357,8 @@ def parse_manifest(doc: dict) -> Manifest:
                 width=entry.get("window", WindowSpec.width),
                 step=entry.get("step", WindowSpec.step),
             )
+            if name == "ccf-sliding":
+                _check_edge_width(size[2], window)
         mode = entry.get("mode", MethodDef.average_mode)
         if mode not in ("global", "pairwise"):
             raise ManifestError(f"{path}mode: expected 'global' or 'pairwise'")

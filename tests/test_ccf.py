@@ -113,6 +113,14 @@ class TestSlidingPlan:
         with pytest.raises(ValueError):
             sliding_plan(50, WindowSpec(width=3, step=10))
 
+    def test_edge_window_too_narrow_rejected(self):
+        for width in (1, 2, 3, 4):
+            with pytest.raises(InvalidConfig, match="^width: "):
+                sliding_plan(20, WindowSpec(width=width, step=3))
+        assert sliding_plan(20, WindowSpec(width=5, step=3))[0].band_hi == 3
+        (run,) = sliding_plan(4, WindowSpec(width=4, step=3))  # the whole cube
+        assert (run.band_lo, run.band_hi) == (0, 4)
+
     def test_invalid_window_spec(self):
         with pytest.raises(InvalidConfig):
             WindowSpec(width=0, step=3)

@@ -261,17 +261,21 @@ def noise_probe(cfg):
 
 
 class TestPixelTiles:
-    """Tiles ``_MATCH_TILE`` pixels a side, with the distances evaluated in
-    place on the cross product, against the step-sized tiles they replaced:
-    the cross products are the same GEMMs and the distances the same
-    operations, so groups are identical on float images too, not only on
-    the small integers of the brute-force comparison."""
+    """Tiles ``_MATCH_TILE`` pixels a side, with the cross product filled a
+    slab of box rows at a time and the distances evaluated in place on it,
+    against the step-sized tiles with one whole-box product they replaced:
+    each slab's rows are the same dot products of the same operands, and the
+    distances the same operations, so groups are identical on float images
+    too, not only on the small integers of the brute-force comparison."""
 
+    @pytest.mark.parametrize("slab_bytes", [None, 1], ids=["default-slabs", "one-row-slabs"])
     @pytest.mark.parametrize("threshold", [None, 3.0])
     @pytest.mark.parametrize("probe", [False, True], ids=["stage", "probe"])
     @pytest.mark.parametrize("shape", [(64, 64), (128, 128), (20, 90)],
                              ids=["64", "128", "narrower-than-a-window"])
-    def test_same_groups_as_step_tiles(self, shape, probe, threshold):
+    def test_same_groups_as_step_tiles(self, shape, probe, threshold, slab_bytes, monkeypatch):
+        if slab_bytes is not None:  # a budget below one box row: one row per slab
+            monkeypatch.setattr(cdbm3d, "_CHUNK_BYTES", slab_bytes)
         img = noisy_compound_band(*shape)
         cfg = DenoiseConfig(match_threshold=threshold)
         if probe:
@@ -844,6 +848,22 @@ class TestResidentMemory:
         assert self.traced_peak(denoise_image, img, DenoiseConfig()) <= 8e6
         stage = self.traced_peak(threshold_stage, img, DenoiseConfig(sigma=1.3))
         assert self.traced_peak(estimate_sigma, img) <= stage
+
+    # The working set proper: the untouched block that raises glibc's malloc
+    # thresholds is not counted.  With the whole box's patch samples copied
+    # before one product, and the previous chunk's arrays alive while the
+    # next was gathered and factored, matching peaked at 5.9 MB and the call
+    # at 7.0 MB; with slabs and one chunk at a time, 3.2 MB and 4.8 MB.
+    def test_matching_working_set_at_128(self, monkeypatch):
+        monkeypatch.setattr(cdbm3d, "_raise_malloc_thresholds", lambda: None)
+        img = noisy_compound_band(128, 128)
+        assert self.traced_peak(cdbm3d._collect_groups, img, DenoiseConfig()) <= 3.5e6
+
+    def test_filter_working_set_at_128(self, monkeypatch):
+        monkeypatch.setattr(cdbm3d, "_raise_malloc_thresholds", lambda: None)
+        img = noisy_compound_band(128, 128)
+        estimate_sigma(img)  # fill the calibration cache outside the trace
+        assert self.traced_peak(denoise_image, img, DenoiseConfig()) <= 5e6
 
     @pytest.mark.skipif(not sys.platform.startswith("linux")
                         or platform.libc_ver()[0] != "glibc",

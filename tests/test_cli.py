@@ -195,6 +195,29 @@ class TestDenoise:
         assert res.stderr.startswith(f"error: {field}: ")
         assert not (tmp_path / "z.chsc").exists()
 
+    @pytest.fixture(scope="class")
+    def twenty_bands(self, tmp_path_factory):
+        d = tmp_path_factory.mktemp("twenty")
+        res = run_cli("synth", "--object", "two-peak", "--size", 16, 16, 20, "--sigma", 1.3,
+                      "--seed", 7, "--out", d / "truth.chsc", "--noisy-out", d / "noisy.chsc")
+        assert res.returncode == 0, res.stderr
+        return d / "noisy.chsc"
+
+    @pytest.mark.parametrize("width", [1, 2, 3, 4, 5])
+    def test_narrow_sliding_window_fails_up_front(self, twenty_bands, tmp_path, width):
+        # the edge window at band 0 holds ceil(width / 2) bands, and the
+        # subspace needs 3: widths 1-4 used to exit 1 with TooFewBands
+        out = tmp_path / "w.chsc"
+        res = run_cli("denoise", "--method", "ccf-sliding", "--window", width, "--step", 3,
+                      twenty_bands, out)
+        if width < 5:
+            assert res.returncode == 2, res.stderr
+            assert res.stderr.startswith("error: width: "), res.stderr
+            assert not out.exists()
+        else:
+            assert res.returncode == 0, res.stderr
+            assert read_cube(out).shape == (16, 16, 20)
+
     def test_window_as_wide_as_the_cube_runs_once(self, synth_dir, tmp_path):
         runs = {}
         for name, flags in [("ccf", ()), ("ccf-sliding", ("--window", 12, "--step", 4))]:

@@ -240,6 +240,19 @@ class TestManifest:
         with pytest.raises(ManifestError, match=r"^methods\[0\]\." + where):
             parse_manifest(small_manifest(methods=[{"name": "ccf-sliding", **method}]))
 
+    @pytest.mark.parametrize("width, bands", [(1, 8), (2, 8), (3, 8), (4, 8), (5, 8), (4, 4)])
+    def test_sliding_window_too_narrow_for_its_edge(self, width, bands):
+        # the edge window at band 0 holds ceil(width / 2) bands, the subspace
+        # needs 3; a window as wide as the cube is the whole cube
+        doc = small_manifest(size=[16, 16, bands],
+                             methods=[{"name": "ccf-sliding", "window": width, "step": 2}])
+        if width < 5 and width < bands:
+            with pytest.raises(ManifestError, match=r"^methods\[0\]\.window: width: "):
+                parse_manifest(doc)
+        else:
+            (method,) = parse_manifest(doc).methods
+            assert method.window == WindowSpec(width, 2)
+
     def test_defaults_come_from_the_dataclasses(self):
         m = parse_manifest(small_manifest(
             objects=[kind.value for kind in ObjectKind], methods=[{"name": "ccf-sliding"}]
