@@ -121,19 +121,6 @@ def _check_real(name: str, value) -> float:
 
 
 @dataclass(eq=False)
-class PatchGroup:
-    """Stack of matched patches; the first member is always the reference."""
-
-    reference: tuple[int, int]
-    coords: np.ndarray  # (K, 2) int top-left corners
-    tensor: np.ndarray  # (patch_rows, patch_cols, K) complex
-
-    @property
-    def size(self) -> int:
-        return self.coords.shape[0]
-
-
-@dataclass(eq=False)
 class HosvdFactors:
     """One orthonormal factor per tensor mode plus the full core tensor."""
 
@@ -191,7 +178,7 @@ def _batched_transform(t: np.ndarray, factors, forward: bool) -> np.ndarray:
 
 def hosvd(tensor) -> HosvdFactors:
     """Full higher-order SVD of one tensor (exact when the core is untouched)."""
-    t = tensor.tensor if isinstance(tensor, PatchGroup) else np.asarray(tensor)
+    t = np.asarray(tensor)
     if t.size == 0:
         raise DimensionMismatch("cannot factor an empty tensor")
     factors, core = _batched_factors(t[None])
@@ -364,8 +351,9 @@ def _collect_groups(match_image: np.ndarray, cfg: DenoiseConfig):
     return _match(match_image, [(int(r), int(c)) for r in grid_r for c in grid_c], cfg)
 
 
-def block_match(image: np.ndarray, ref_coord: tuple[int, int], cfg: DenoiseConfig) -> PatchGroup:
-    """Group the patches most similar to the one anchored at ``ref_coord``."""
+def block_match(image: np.ndarray, ref_coord: tuple[int, int], cfg: DenoiseConfig):
+    """Match the patch anchored at ``ref_coord``; returns the (rows, cols)
+    top-left corners of its group, the reference first, as ``_match`` does."""
     image = _check_image(image, cfg)
     h, w = image.shape
     r, c = ref_coord
@@ -376,14 +364,7 @@ def block_match(image: np.ndarray, ref_coord: tuple[int, int], cfg: DenoiseConfi
     r0, c0 = max(0, r - rad), max(0, c - rad)
     window = image[r0 : r + rad + cfg.patch_rows, c0 : c + rad + cfg.patch_cols]
     rows, cols = _match(window, [(r - r0, c - c0)], cfg)[0]
-    rows, cols = rows + r0, cols + c0
-    views = sliding_window_view(image, (cfg.patch_rows, cfg.patch_cols))
-    tensor = np.ascontiguousarray(np.moveaxis(views[rows, cols], 0, 2))
-    return PatchGroup(
-        reference=(r, c),
-        coords=np.stack([rows, cols], axis=1),
-        tensor=tensor,
-    )
+    return rows + r0, cols + c0
 
 
 # ---------------------------------------------------------------------------

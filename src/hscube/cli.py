@@ -9,6 +9,7 @@ manifests, shape mismatches, missing dispersion data).
 from __future__ import annotations
 
 import argparse
+import csv
 import json
 import os
 import sys
@@ -38,7 +39,7 @@ from .evaluate import (
     write_csv,
 )
 from .parallel import resolve_threads
-from .synth import DispersionModel, NoiseSpec, ObjectKind, add_noise, generate_truth
+from .synth import DispersionModel, NoiseSpec, ObjectKind, add_noise
 
 USAGE_ERRORS = (
     ManifestError, DimensionMismatch, DispersionRequired, InvalidConfig, NonPositiveWavelength
@@ -183,8 +184,7 @@ def cmd_synth(args) -> int:
         max_phase=args.max_phase,
     )
     noise = NoiseSpec(sigma=args.sigma, seed=args.seed)
-    spec = obj.build(n, m, model, lo)
-    truth = generate_truth(spec, model, (n, m), np.linspace(lo, hi, l))
+    truth = obj.truth((n, m, l), (lo, hi), model)
     write_cube(truth, args.out)
     noisy = add_noise(truth, noise)
     write_cube(noisy, args.noisy_out)
@@ -195,10 +195,8 @@ def cmd_synth(args) -> int:
 
 
 def _write_subspace_csv(path, windows) -> None:
-    import csv as _csv
-
     with open(path, "w", newline="") as f:
-        writer = _csv.writer(f, lineterminator="\n")
+        writer = csv.writer(f, lineterminator="\n")
         writer.writerow(["window_center", "candidate_dim", "eigenvalue", "mse", "chosen_p"])
         for info in windows:
             center = info["center"] if info["center"] is not None else ""
@@ -218,7 +216,6 @@ def cmd_denoise(args) -> int:
         config=cfg,
         window=WindowSpec(width=args.window, step=args.step),
         average_mode=args.average_mode,
-        sigma_known=False,  # cfg.sigma already carries the flag value
     )
     sidecar_path = args.output + ".json"
     try:
@@ -312,10 +309,7 @@ def main(argv=None) -> int:
     except USAGE_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except HscubeError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except (OSError, ValueError) as exc:
+    except (HscubeError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

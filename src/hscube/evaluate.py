@@ -127,7 +127,7 @@ def baseline_average(
     if model is None:
         raise DispersionRequired("thickness averaging needs a dispersion model")
     if mode not in ("global", "pairwise"):
-        raise ValueError(f"unknown averaging mode {mode!r}")
+        raise InvalidConfig(f"mode: expected 'global' or 'pairwise', got {mode!r}")
     _require_bands(noisy)
     if mode == "pairwise" and noisy.n_bands == 1:
         return noisy
@@ -199,12 +199,18 @@ class ObjectDef:
         if self.kind is ObjectKind.TWO_PEAK:
             _check_two_peak_phase(self.target_phase)
 
-    def build(self, n_rows: int, n_cols: int, model: DispersionModel, lambda_min: float):
+    def truth(self, size, lambda_nm, model: DispersionModel) -> ComplexCube:
+        """The clean cube of ``size`` (rows, cols, bands) over ``lambda_nm``
+        (lo, hi), its bands evenly spaced."""
+        n_rows, n_cols, n_bands = size
+        lo, hi = lambda_nm
         if self.kind is ObjectKind.TWO_PEAK:
-            return two_peak_spec(n_rows, n_cols, model, lambda_min, self.target_phase)
-        if self.kind is ObjectKind.COMPOUND:
-            return compound_spec(n_rows, n_cols, model, lambda_min, self.target_phase)
-        return wrapped_peak_spec(n_rows, n_cols, model, lambda_min, self.max_phase)
+            spec = two_peak_spec(n_rows, n_cols, model, lo, self.target_phase)
+        elif self.kind is ObjectKind.COMPOUND:
+            spec = compound_spec(n_rows, n_cols, model, lo, self.target_phase)
+        else:
+            spec = wrapped_peak_spec(n_rows, n_cols, model, lo, self.max_phase)
+        return generate_truth(spec, model, (n_rows, n_cols), np.linspace(lo, hi, n_bands))
 
 
 @dataclass(frozen=True)
@@ -213,7 +219,6 @@ class MethodDef:
     config: DenoiseConfig = field(default_factory=DenoiseConfig)
     window: WindowSpec = field(default_factory=WindowSpec)
     average_mode: str = "global"
-    sigma_known: bool = True
     label: str = ""
 
     @property
@@ -238,7 +243,7 @@ class Manifest:
 
 _TOP_KEYS = {"schema_version", "size", "lambda_nm", "dispersion", "objects", "sigmas", "seeds",
              "methods", "output_csv"}
-_METHOD_KEYS = {"name", "config", "window", "step", "mode", "sigma_known", "label"}
+_METHOD_KEYS = {"name", "config", "window", "step", "mode", "label"}
 
 
 def _need(mapping, key, kind, path):
@@ -362,17 +367,11 @@ def parse_manifest(doc: dict) -> Manifest:
         mode = entry.get("mode", MethodDef.average_mode)
         if mode not in ("global", "pairwise"):
             raise ManifestError(f"{path}mode: expected 'global' or 'pairwise'")
-        sigma_known = entry.get("sigma_known", MethodDef.sigma_known)
-        if not isinstance(sigma_known, bool):
-            raise ManifestError(f"{path}sigma_known: expected a boolean")
         label = entry.get("label", "")
         if not isinstance(label, str):
             raise ManifestError(f"{path}label: expected a string")
         methods.append(
-            MethodDef(
-                name=name, config=cfg, window=window, average_mode=mode,
-                sigma_known=sigma_known, label=label,
-            )
+            MethodDef(name=name, config=cfg, window=window, average_mode=mode, label=label)
         )
 
     output_csv = doc.get("output_csv")
@@ -405,10 +404,11 @@ def apply_method(
     model: DispersionModel | None,
     threads: int = 1,
 ):
-    """Dispatch one method on a noisy cube; returns (estimate, diagnostics)."""
+    """Dispatch one method on a noisy cube; returns (estimate, diagnostics).
+    A ``sigma`` that is not None replaces the method config's."""
     diagnostics: list = []
     cfg = method.config
-    if method.sigma_known and sigma is not None:
+    if sigma is not None:
         cfg = replace(cfg, sigma=sigma)
     if method.name == "ccf":
         return ccf_denoise(noisy, cfg, diagnostics=diagnostics, threads=threads), diagnostics
@@ -497,13 +497,6 @@ def _attempt(build, *args):
         return exc
 
 
-def _truth(obj: ObjectDef, manifest: Manifest) -> ComplexCube:
-    dims = (manifest.n_rows, manifest.n_cols)
-    spec = obj.build(*dims, manifest.dispersion, manifest.lambda_lo)
-    wavelengths = np.linspace(manifest.lambda_lo, manifest.lambda_hi, manifest.n_bands)
-    return generate_truth(spec, manifest.dispersion, dims, wavelengths)
-
-
 def _noisy_input(truth, sigma: float, seed: int):
     """The noisy cube for one sigma and seed, and its input SNR."""
     if isinstance(truth, Exception):
@@ -521,8 +514,10 @@ def run_experiment(manifest: Manifest, threads: int = 1, measure_time: bool = Fa
     """
     reports: list[MetricsReport] = []
     failures: list[tuple[str, str]] = []
+    size = (manifest.n_rows, manifest.n_cols, manifest.n_bands)
+    lambda_nm = (manifest.lambda_lo, manifest.lambda_hi)
     for obj in manifest.objects:
-        truth = _attempt(_truth, obj, manifest)
+        truth = _attempt(obj.truth, size, lambda_nm, manifest.dispersion)
         for sigma in manifest.sigmas:
             for seed in manifest.seeds:
                 inputs = _attempt(_noisy_input, truth, sigma, seed)
@@ -566,7 +561,7 @@ def config_snapshot(cfg: DenoiseConfig) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# CSV round trip
+# CSV output
 
 
 def _fmt(value) -> str:
@@ -615,63 +610,6 @@ def write_csv(reports, target) -> None:
     finally:
         if own:
             handle.close()
-
-
-def _parse_opt(text: str, kind):
-    return None if text == "" else kind(text)
-
-
-def read_csv(source) -> list[MetricsReport]:
-    """Parse a metrics CSV back into reports."""
-    own = isinstance(source, (str, bytes)) or hasattr(source, "__fspath__")
-    handle = open(source, "r", newline="") if own else source
-    try:
-        rows = list(csv.reader(handle))
-    finally:
-        if own:
-            handle.close()
-    if not rows or rows[0] != CSV_COLUMNS:
-        raise ValueError("not a metrics CSV: header mismatch")
-    reports: list[MetricsReport] = []
-    current = None
-    bands: list[tuple] = []
-
-    def finish(summary_row):
-        key, rows_ = current, sorted(bands)
-        reports.append(
-            MetricsReport(
-                object_name=key[0],
-                method=key[1],
-                sigma=_parse_opt(key[2], float),
-                seed=_parse_opt(key[3], int),
-                window=_parse_opt(key[4], int),
-                step=_parse_opt(key[5], int),
-                wavelengths=np.array([r[1] for r in rows_]),
-                rrmse_phase_bands=np.array([r[2] for r in rows_]),
-                rrmse_amp_bands=np.array([r[3] for r in rows_]),
-                p_per_band=np.array([r[5] for r in rows_], dtype=np.int64),
-                snr_input_db=float(summary_row[8]),
-                seconds=float(summary_row[12]),
-            )
-        )
-
-    for row in rows[1:]:
-        key = (row[0], row[1], row[2], row[3], row[10], row[11])
-        band = int(row[4])
-        if band == -1:
-            if key != current:
-                raise ValueError("summary row without matching band rows")
-            finish(row)
-            current, bands = None, []
-            continue
-        if current is None:
-            current = key
-        elif key != current:
-            raise ValueError("band rows of different combinations interleaved")
-        bands.append((band, float(row[5]), float(row[6]), float(row[7]), row[8], int(row[9])))
-    if current is not None:
-        raise ValueError("missing summary row for the last combination")
-    return reports
 
 
 def csv_text(reports) -> str:

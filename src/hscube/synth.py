@@ -5,10 +5,11 @@ wavelength lambda by
 
     phi = 2*pi * h * (n(lambda) - 1) / lambda        (h, lambda in um)
 
-so the clean field is A(x, y) * exp(j*phi).  Three object families are
-provided: a smooth two-peak surface whose phase stays inside [-pi, pi) for
-every band, a compound object whose thickness map changes between three
-band sections, and a single tall peak whose phase wraps many times.
+so the clean field is exp(j*phi), of unit amplitude.  Three object
+families are provided: a smooth two-peak surface whose phase stays inside
+[-pi, pi) for every band, a compound object whose thickness map changes
+between three band sections, and a single tall peak whose phase wraps many
+times.
 """
 
 from __future__ import annotations
@@ -73,7 +74,7 @@ class ObjectKind(enum.Enum):
 
 @dataclass(frozen=True, eq=False)
 class PhaseObjectSpec:
-    """Concrete thickness map(s) in micrometers plus an amplitude field.
+    """Concrete thickness map(s) in micrometers.
 
     Single-map objects carry one map; the compound object carries three,
     switched at the band-index fractions ``SECTION_BOUNDARIES``.
@@ -81,7 +82,6 @@ class PhaseObjectSpec:
 
     kind: ObjectKind
     thickness_maps: tuple[np.ndarray, ...]
-    amplitude: np.ndarray | None = None
 
     def __post_init__(self):
         maps = tuple(np.asarray(m, dtype=np.float64) for m in self.thickness_maps)
@@ -95,13 +95,6 @@ class PhaseObjectSpec:
                 raise DimensionMismatch("compound object needs exactly 3 thickness maps")
         elif len(maps) != 1:
             raise DimensionMismatch(f"{self.kind.value} object needs exactly 1 thickness map")
-        if self.amplitude is not None:
-            amp = np.asarray(self.amplitude, dtype=np.float64)
-            if amp.shape != maps[0].shape:
-                raise DimensionMismatch("amplitude field must match the thickness map shape")
-            if not np.all(np.isfinite(amp)) or np.any(amp < 0):
-                raise ValueError("amplitude must be finite and nonnegative")
-            object.__setattr__(self, "amplitude", amp)
         object.__setattr__(self, "thickness_maps", maps)
 
     @property
@@ -288,7 +281,7 @@ def generate_truth(
     dims: tuple[int, int],
     wavelengths: np.ndarray,
 ) -> ComplexCube:
-    """Build the clean cube A * exp(j*phi) over a wavelength grid."""
+    """Build the clean cube exp(j*phi) over a wavelength grid."""
     n_rows, n_cols = dims
     if (n_rows, n_cols) != (spec.n_rows, spec.n_cols):
         raise DimensionMismatch(
@@ -297,13 +290,12 @@ def generate_truth(
         )
     wl = np.asarray(wavelengths, dtype=np.float64)
     n_bands = wl.size
-    amp = spec.amplitude if spec.amplitude is not None else np.ones((n_rows, n_cols))
     bands = np.empty((n_bands, n_rows, n_cols), dtype=np.complex128)
     n_of_lambda = refractive_index(model, wl)
     for b in range(n_bands):
         h = spec.thickness_at(b / n_bands)
         phi = TWO_PI * h * (n_of_lambda[b] - 1.0) / (wl[b] / 1000.0)
-        bands[b] = amp * np.exp(1j * phi)
+        bands[b] = np.exp(1j * phi)
     return ComplexCube(wavelengths=wl, data=bands.transpose(1, 2, 0))
 
 

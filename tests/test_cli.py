@@ -11,8 +11,14 @@ from hscube import cli
 from hscube.ccf import WindowSpec
 from hscube.cdbm3d import DenoiseConfig
 from hscube.cube import read_cube, write_cube
-from hscube.evaluate import CSV_COLUMNS, METHOD_NAMES, ObjectDef, read_csv
+from hscube.evaluate import CSV_COLUMNS, METHOD_NAMES, ObjectDef
 from hscube.synth import ObjectKind
+
+
+def read_rows(path):
+    """The rows of a metrics CSV, as dicts keyed by column name."""
+    with open(path, newline="") as f:
+        return list(csv.DictReader(f))
 
 
 def run_cli(*args, cwd=None, env=None):
@@ -294,10 +300,11 @@ class TestMetrics:
             synth_dir / "truth.chsc", synth_dir / "truth.chsc",
         )
         assert res.returncode == 0
-        reports = read_csv(tmp_path / "m.csv")
-        assert len(reports) == 1
-        assert np.all(reports[0].rrmse_phase_bands == 0.0)
-        assert np.all(reports[0].rrmse_amp_bands == 0.0)
+        rows = read_rows(tmp_path / "m.csv")
+        assert len(rows) == 13  # 12 bands and the summary row
+        assert [row["band_index"] for row in rows] == [str(b) for b in range(12)] + ["-1"]
+        assert all(float(row["rrmse_phase"]) == 0.0 for row in rows)
+        assert all(float(row["rrmse_amp"]) == 0.0 for row in rows)
 
     def test_header_schema(self, synth_dir, tmp_path):
         run_cli("metrics", "--out", tmp_path / "m.csv",
@@ -310,8 +317,7 @@ class TestMetrics:
         res = run_cli("metrics", "--out", tmp_path / "m.csv",
                       synth_dir / "noisy.chsc", synth_dir / "truth.chsc")
         assert res.returncode == 0, res.stderr
-        with open(tmp_path / "m.csv", newline="") as f:
-            rows = list(csv.DictReader(f))
+        rows = read_rows(tmp_path / "m.csv")
         assert len(rows) == 13  # 12 bands and the summary row
         assert all(row["snr_db"] == "nan" for row in rows)
 
@@ -363,6 +369,8 @@ class TestSweep:
          "objects[1].target_phase: "),
         ({"sigmas": [0.5, float("inf")]}, "sigmas[1]: sigma: "),
         ({"methods": [{"name": "noop", "windw": 3}]}, "methods[0].windw: unknown field"),
+        ({"methods": [{"name": "noop", "sigma_known": False}]},
+         "methods[0].sigma_known: unknown field"),
     ])
     def test_noise_and_object_settings_exit_2(self, tmp_path, override, where):
         manifest = tmp_path / "bad.manifest"
@@ -391,8 +399,9 @@ class TestSweep:
         }))
         res = run_cli("sweep", manifest)
         assert res.returncode == 0, res.stderr
-        reports = read_csv(tmp_path / "tiny.csv")
-        assert {r.method for r in reports} == {"average", "noop"}
+        rows = read_rows(tmp_path / "tiny.csv")
+        assert len(rows) == 2 * 9  # 8 bands and the summary row per method
+        assert {row["method"] for row in rows} == {"average", "noop"}
 
 
 class TestDeterminismAcrossThreads:

@@ -1,3 +1,4 @@
+import csv
 import dataclasses
 import io
 import json
@@ -9,7 +10,13 @@ import pytest
 import hscube as hs
 from hscube.ccf import WindowSpec
 from hscube.cdbm3d import DenoiseConfig
-from hscube.errors import DimensionMismatch, DispersionRequired, ManifestError, ZeroReference
+from hscube.errors import (
+    DimensionMismatch,
+    DispersionRequired,
+    InvalidConfig,
+    ManifestError,
+    ZeroReference,
+)
 from hscube.evaluate import (
     CSV_COLUMNS,
     METHOD_NAMES,
@@ -18,7 +25,6 @@ from hscube.evaluate import (
     csv_text,
     make_report,
     parse_manifest,
-    read_csv,
     run_experiment,
     write_csv,
 )
@@ -161,6 +167,11 @@ class TestBaselineAverage:
         with pytest.raises(DispersionRequired):
             hs.baseline_average(cube, None, "global")
 
+    def test_unknown_mode_is_a_config_error(self, bk7_model):
+        cube = tiny_cube(np.random.default_rng(6))
+        with pytest.raises(InvalidConfig, match=r"^mode: .*'bogus'"):
+            hs.baseline_average(cube, bk7_model, mode="bogus")
+
     def test_amplitude_passthrough(self, bk7_model):
         spec = hs.two_peak_spec(16, 16, bk7_model)
         truth = hs.generate_truth(spec, bk7_model, (16, 16), hs.default_wavelengths(6))
@@ -183,6 +194,21 @@ class TestBaselineSeparate:
         out = hs.baseline_separate(noisy, DenoiseConfig(sigma=1.3))
         assert np.all(np.abs(out.data) >= 0.0)
         assert out.shape == noisy.shape
+
+
+class TestObjectTruth:
+    @pytest.mark.parametrize("kind, build", [
+        (ObjectKind.TWO_PEAK, hs.two_peak_spec),
+        (ObjectKind.COMPOUND, hs.compound_spec),
+        (ObjectKind.WRAPPED_PEAK, hs.wrapped_peak_spec),
+    ])
+    def test_truth_is_the_spec_cube(self, bk7_model, kind, build):
+        truth = ObjectDef(kind=kind, name=kind.value).truth((16, 20, 5), (420.0, 700.0), bk7_model)
+        wavelengths = np.linspace(420.0, 700.0, 5)
+        expected = hs.generate_truth(build(16, 20, bk7_model, 420.0), bk7_model, (16, 20),
+                                     wavelengths)
+        assert np.array_equal(truth.wavelengths, wavelengths)
+        assert truth.data.tobytes() == expected.data.tobytes()
 
 
 def small_manifest(**overrides):
@@ -289,6 +315,8 @@ class TestManifest:
         ({"dispersion": {"a0": 1.5, "b0": 0.004}}, r"dispersion\.b0: unknown field"),
         ({"objects": [{"kind": "two-peak", "phase": 2.0}]}, r"objects\[0\]\.phase: unknown field"),
         ({"methods": [{"name": "noop", "windw": 3}]}, r"methods\[0\]\.windw: unknown field"),
+        ({"methods": [{"name": "noop", "sigma_known": False}]},
+         r"methods\[0\]\.sigma_known: unknown field"),
     ])
     def test_unknown_keys_rejected_with_their_path(self, override, where):
         with pytest.raises(ManifestError, match="^" + where):
@@ -317,7 +345,7 @@ class TestRunExperiment:
         assert csv_text(r1) == csv_text(r2)
 
     def test_failure_isolated(self):
-        # averaging a truly zero-phase object fails in rrmse; noop still reports
+        # an unknown averaging mode fails its own combination; noop still reports
         m = dataclasses.replace(
             parse_manifest(small_manifest()),
             methods=(
@@ -328,6 +356,7 @@ class TestRunExperiment:
         reports, failures = run_experiment(m)
         assert len(failures) == 1
         assert "average" in failures[0][0]
+        assert failures[0][1].startswith("InvalidConfig: mode")
         assert len(reports) == 1
 
     def test_bad_values_of_a_hand_built_manifest_fail_per_combination(self):
@@ -367,38 +396,52 @@ class TestRunExperiment:
         assert rep.p_per_band.tolist() == [-1] * 8
 
 
+def read_rows(source):
+    """The rows of a metrics CSV, as dicts keyed by column name."""
+    return list(csv.DictReader(source))
+
+
 class TestCsvRoundTrip:
     def test_header_exact(self):
         text = csv_text([])
         assert text.splitlines()[0] == ",".join(CSV_COLUMNS)
 
     def test_round_trip_exact(self):
+        # every float column parses back with float() to the report's value
         m = parse_manifest(small_manifest())
         reports, _ = run_experiment(m)
-        text = csv_text(reports)
-        back = read_csv(io.StringIO(text))
-        assert len(back) == len(reports)
-        for a, b in zip(reports, back):
-            assert b.object_name == a.object_name
-            assert b.method == a.method
-            assert b.sigma == a.sigma and b.seed == a.seed
-            assert b.window == a.window and b.step == a.step
-            assert np.array_equal(b.wavelengths, a.wavelengths)
-            assert np.array_equal(b.rrmse_phase_bands, a.rrmse_phase_bands)
-            assert np.array_equal(b.rrmse_amp_bands, a.rrmse_amp_bands)
-            assert np.array_equal(b.p_per_band, a.p_per_band)
-            assert b.snr_input_db == a.snr_input_db
-            assert b.seconds == a.seconds
-        # writing the parsed reports again is byte-identical
-        assert csv_text(back) == text
+        rows = read_rows(io.StringIO(csv_text(reports)))
+        assert len(rows) == sum(len(rep.wavelengths) + 1 for rep in reports)
+        for rep in reports:
+            mine = [row for row in rows if row["method"] == rep.method]
+            bands, (summary,) = mine[:-1], mine[-1:]
+            for row in mine:
+                assert row["object"] == rep.object_name
+                assert float(row["sigma"]) == rep.sigma and int(row["seed"]) == rep.seed
+                assert row["window"] == row["step"] == ""
+                assert float(row["snr_db"]) == rep.snr_input_db
+                assert float(row["seconds"]) == rep.seconds
+            assert [int(row["band_index"]) for row in bands] == list(range(len(bands)))
+            for name, values in (("wavelength_nm", rep.wavelengths),
+                                 ("rrmse_phase", rep.rrmse_phase_bands),
+                                 ("rrmse_amp", rep.rrmse_amp_bands)):
+                assert np.array_equal([float(row[name]) for row in bands], values), name
+            assert [int(row["p_selected"]) for row in bands] == rep.p_per_band.tolist()
+            # the summary row holds the band means
+            assert (summary["band_index"], summary["wavelength_nm"]) == ("-1", "")
+            for name in ("rrmse_phase", "rrmse_amp"):
+                band_mean = np.mean([float(row[name]) for row in bands])
+                assert float(summary[name]) == band_mean, name
+            assert float(summary["rrmse_phase"]) == rep.mean_rrmse_phase
+            assert float(summary["rrmse_amp"]) == rep.mean_rrmse_amp
+            assert int(summary["p_selected"]) == -1
 
-    def test_round_trip_through_file(self, tmp_path):
+    def test_file_matches_stream(self, tmp_path):
         m = parse_manifest(small_manifest())
         reports, _ = run_experiment(m)
         path = tmp_path / "out.csv"
         write_csv(reports, path)
-        back = read_csv(path)
-        assert csv_text(back) == path.read_text()
+        assert path.read_text() == csv_text(reports)
 
     def test_make_report_p_per_band_from_diagnostics(self):
         rng = np.random.default_rng(7)

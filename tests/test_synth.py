@@ -134,15 +134,6 @@ class TestGenerateTruth:
         truth = hs.generate_truth(spec, model, (16, 16), hs.default_wavelengths(8))
         assert np.allclose(np.abs(truth.data), 1.0, atol=1e-12)
 
-    def test_amplitude_override(self, model):
-        amp = np.random.default_rng(0).uniform(0.5, 2.0, size=(8, 8))
-        base = hs.two_peak_spec(8, 8, model)
-        spec = PhaseObjectSpec(
-            kind=ObjectKind.TWO_PEAK, thickness_maps=base.thickness_maps, amplitude=amp
-        )
-        truth = hs.generate_truth(spec, model, (8, 8), hs.default_wavelengths(4))
-        assert np.allclose(np.abs(truth.data), amp[:, :, None], atol=1e-12)
-
     def test_angle_matches_phase_at(self, model):
         spec = hs.wrapped_peak_spec(12, 12, model)
         wl = hs.default_wavelengths(6)
