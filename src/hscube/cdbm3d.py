@@ -18,8 +18,10 @@ stacked linear algebra, in chunks whose gathered group tensor holds at most
 temporaries stay in cache.  Freed and reused chunk after chunk, they stay
 in the heap only once glibc's dynamic mmap and trim thresholds have been
 raised past them, which glibc does only after the process frees a large
-mapped block; each pass therefore frees one first
+mapped block; each pass therefore frees one of 2 MiB first
 (``_raise_malloc_thresholds``), whatever the process allocated before.
+That lifts the mmap threshold to 2 MiB and the trim threshold, which
+bounds what each thread's heap keeps free, to 4 MiB.
 One chunk is alive at a time: the pass and the noise probe drop each
 chunk's arrays before the next is gathered and factored.  Matching works on
 tiles of ``_MATCH_TILE`` pixels a side, and fills each tile's cross product
@@ -240,7 +242,8 @@ def _nearest(dist: np.ndarray, keep: int):
     the lowest indices are kept.  Rows with fewer finite entries end in +inf.
     """
     keep = min(keep, dist.shape[1])
-    idx = np.argpartition(dist, keep - 1, axis=1)[:, :keep]
+    # a copy, so the (tile, box) partition index is freed at once
+    idx = np.argpartition(dist, keep - 1, axis=1)[:, :keep].copy()
     cut = np.take_along_axis(dist, idx[:, -1:], axis=1)
     # argpartition keeps any subset of the entries tied at a finite cut;
     # rows where some were left out take the lowest indices instead
@@ -486,7 +489,7 @@ _MMAP_THRESHOLD_MAX = 32 * 2**20  # glibc raises its mmap threshold to at most t
 
 
 def _raise_malloc_thresholds():
-    """Allocate a block of 8 * ``_CHUNK_BYTES`` (at most
+    """Allocate a block of 4 * ``_CHUNK_BYTES`` (2 MiB, at most
     ``_MMAP_THRESHOLD_MAX``) and free it untouched.
 
     glibc serves blocks above its mmap threshold (128 KiB at start) with a
@@ -494,13 +497,16 @@ def _raise_malloc_thresholds():
     kernel on free, and trims the top of its heap once more than its trim
     threshold is free.  Both thresholds are dynamic: freeing a mapped block
     raises the mmap threshold to the block's size and the trim threshold to
-    twice that.  After this call a chunk's temporaries come from the heap
+    twice that, here 2 and 4 MiB.  2 MiB is above the largest block of the
+    chunk loop (the (box, tile) distance product, about 0.9 MB at the
+    defaults), so after this call a chunk's temporaries come from the heap
     and stay there, chunk after chunk, whatever the process allocated
-    before; the cost is one mmap/munmap pair.  Allocators without a dynamic
-    threshold are not affected.  ``mallopt`` is not used: it would fix the
-    process-wide settings for good.
+    before; the cost is one mmap/munmap pair.  Each thread's heap may keep
+    up to the trim threshold free, so the block is no larger than needed.
+    Allocators without a dynamic threshold are not affected.  ``mallopt`` is
+    not used: it would fix the process-wide settings for good.
     """
-    np.empty(min(8 * _CHUNK_BYTES, _MMAP_THRESHOLD_MAX), dtype=np.uint8)
+    np.empty(min(4 * _CHUNK_BYTES, _MMAP_THRESHOLD_MAX), dtype=np.uint8)
 
 
 def _grouped_cores(match_image: np.ndarray, images, cfg: DenoiseConfig):

@@ -221,6 +221,14 @@ class MethodDef:
     average_mode: str = "global"
     label: str = ""
 
+    def __post_init__(self):
+        if self.name not in METHOD_NAMES:
+            raise InvalidConfig(f"name: unknown method {self.name!r}")
+        if self.average_mode not in ("global", "pairwise"):
+            raise InvalidConfig(
+                f"average_mode: expected 'global' or 'pairwise', got {self.average_mode!r}"
+            )
+
     @property
     def report_label(self) -> str:
         return self.label or self.name

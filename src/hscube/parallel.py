@@ -1,7 +1,10 @@
 """Tiny deterministic job pool and the process's BLAS thread count.
 
 Jobs are independent closures whose results are collected in submission
-order, so the assembled output never depends on the worker count.
+order, so the assembled output never depends on the worker count.  A pool
+of N workers is the calling thread plus N - 1 started threads, which take
+jobs from one shared counter in submission order; the caller works instead
+of waiting, so a pool starts, and gives a glibc heap to, one thread fewer.
 
 numpy's bundled OpenBLAS is held at one thread for the whole run of every
 public computation (``denoise_image``, ``estimate_sigma``, ``ccf_denoise``,
@@ -21,7 +24,6 @@ import ctypes
 import functools
 import os
 import threading
-from concurrent.futures import ThreadPoolExecutor
 
 from .errors import InvalidConfig
 
@@ -40,16 +42,23 @@ _blas_saved = 0
 
 
 def resolve_threads(requested: int | None = None) -> int:
-    """Explicit request wins, then the HSCUBE_THREADS variable, then 1."""
+    """Explicit request wins, then the HSCUBE_THREADS variable, then 1.
+
+    A count below 1, from either source, is an ``InvalidConfig``.
+    """
     if requested is not None:
-        return max(1, int(requested))
-    env = os.environ.get(ENV_THREADS, "").strip()
-    if not env:
-        return 1
-    try:
-        return max(1, int(env))
-    except ValueError:
-        raise InvalidConfig(f"{ENV_THREADS} must be an integer, got {env!r}") from None
+        threads, source = int(requested), "threads"
+    else:
+        env = os.environ.get(ENV_THREADS, "").strip()
+        if not env:
+            return 1
+        try:
+            threads, source = int(env), ENV_THREADS
+        except ValueError:
+            raise InvalidConfig(f"{ENV_THREADS} must be an integer, got {env!r}") from None
+    if threads < 1:
+        raise InvalidConfig(f"{source} must be at least 1, got {threads}")
+    return threads
 
 
 @functools.cache
@@ -103,9 +112,49 @@ def _single_threaded_blas():
 
 
 def run_jobs(jobs, threads: int = 1) -> list:
-    """Run zero-argument callables, returning results in submission order."""
+    """Run zero-argument callables, returning results in submission order.
+
+    The calling thread and ``min(threads, len(jobs)) - 1`` started threads
+    take the jobs in submission order.  Every job runs even when some
+    raise; the failure of the earliest job is raised.  An interrupt of the
+    caller (``KeyboardInterrupt``) stops handing out jobs, waits for the
+    running ones and propagates.
+    """
     jobs = list(jobs)
-    if threads <= 1 or len(jobs) <= 1:
+    workers = min(threads, len(jobs))
+    if workers <= 1:
         return [job() for job in jobs]
-    with _single_threaded_blas(), ThreadPoolExecutor(max_workers=threads) as pool:
-        return [future.result() for future in [pool.submit(job) for job in jobs]]
+    results = [None] * len(jobs)
+    failures = {}
+    pending = iter(range(len(jobs)))
+    lock = threading.Lock()
+
+    def take():
+        with lock:
+            return next(pending, None)
+
+    def work(catch):
+        while (i := take()) is not None:
+            try:
+                results[i] = jobs[i]()
+            except catch as exc:
+                failures[i] = exc
+
+    # started threads record whatever a job raises; the caller lets an
+    # interrupt through
+    started = [threading.Thread(target=work, args=(BaseException,)) for _ in range(workers - 1)]
+    with _single_threaded_blas():
+        try:
+            for thread in started:
+                thread.start()
+            work(Exception)
+        finally:
+            with lock:
+                for _ in pending:  # hand out no more jobs
+                    pass
+            for thread in started:
+                if thread.is_alive():  # one that failed to start cannot be joined
+                    thread.join()
+    if failures:
+        raise failures[min(failures)]
+    return results

@@ -849,7 +849,9 @@ class TestResidentMemory:
     # thresholds is not counted.  With the whole box's patch samples copied
     # before one product, and the previous chunk's arrays alive while the
     # next was gathered and factored, matching peaked at 5.9 MB and the call
-    # at 7.0 MB; with slabs and one chunk at a time, 3.2 MB and 4.8 MB.
+    # at 7.0 MB; with slabs and one chunk at a time, 3.2 MB and 4.8 MB; with
+    # only the kept columns of each tile's partition index held, matching
+    # peaks at 3.0 MB.
     def test_matching_working_set_at_128(self, monkeypatch):
         monkeypatch.setattr(cdbm3d, "_raise_malloc_thresholds", lambda: None)
         img = noisy_compound_band(128, 128)

@@ -248,6 +248,28 @@ class TestDenoise:
         assert "HSCUBE_THREADS" in res.stderr
         assert not (tmp_path / "t.chsc").exists()
 
+    @pytest.mark.parametrize("flags, variable", [
+        (["--threads", 0], None),
+        (["--threads", -2], None),
+        ([], "0"),
+        ([], "-1"),
+    ])
+    def test_thread_count_below_one_exit_2(self, synth_dir, tmp_path, flags, variable):
+        import os
+
+        env = dict(os.environ)
+        env.pop("HSCUBE_THREADS", None)
+        if variable is not None:
+            env["HSCUBE_THREADS"] = variable
+        res = run_cli(
+            "denoise", "--method", "ccf", *flags, synth_dir / "noisy.chsc",
+            tmp_path / "t.chsc", env=env,
+        )
+        assert res.returncode == 2, res.stderr
+        assert ("threads" if variable is None else "HSCUBE_THREADS") in res.stderr
+        assert "at least 1" in res.stderr
+        assert not (tmp_path / "t.chsc").exists()
+
     def test_partial_outputs_removed_on_failure(self, tmp_path):
         bad = tmp_path / "bad.chsc"
         bad.write_bytes(b"CHSC" + bytes(20))

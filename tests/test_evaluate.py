@@ -334,6 +334,16 @@ class TestManifest:
         reports, failures = run_experiment(m)
         assert reports == [] and failures == []
 
+    @pytest.mark.parametrize("kwargs, where", [
+        ({"name": "bogus"}, r"^name: unknown method 'bogus'"),
+        ({"name": "noop", "average_mode": "x"}, r"^average_mode: .*'x'"),
+        ({"name": "average", "average_mode": "Global"}, r"^average_mode: .*'Global'"),
+    ])
+    def test_hand_built_method_checked_when_built(self, kwargs, where):
+        # checked like DenoiseConfig and WindowSpec, before any cube is built
+        with pytest.raises(InvalidConfig, match=where):
+            MethodDef(**kwargs)
+
 
 class TestRunExperiment:
     def test_runs_and_is_deterministic(self):
@@ -345,18 +355,19 @@ class TestRunExperiment:
         assert csv_text(r1) == csv_text(r2)
 
     def test_failure_isolated(self):
-        # an unknown averaging mode fails its own combination; noop still reports
+        # a sliding window too narrow for the 8-band cube fails its own
+        # combination; noop still reports
         m = dataclasses.replace(
             parse_manifest(small_manifest()),
             methods=(
-                MethodDef(name="average", average_mode="bogus"),
+                MethodDef(name="ccf-sliding", window=WindowSpec(width=3, step=1)),
                 MethodDef(name="noop"),
             ),
         )
         reports, failures = run_experiment(m)
         assert len(failures) == 1
-        assert "average" in failures[0][0]
-        assert failures[0][1].startswith("InvalidConfig: mode")
+        assert "ccf-sliding" in failures[0][0]
+        assert failures[0][1].startswith("InvalidConfig: width")
         assert len(reports) == 1
 
     def test_bad_values_of_a_hand_built_manifest_fail_per_combination(self):

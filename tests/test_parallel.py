@@ -1,5 +1,11 @@
+import os
+import platform
+import subprocess
+import sys
+import textwrap
 import threading
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -238,6 +244,21 @@ def test_non_integer_thread_variable_is_invalid(monkeypatch):
     assert resolve_threads(3) == 3  # an explicit request wins
 
 
+@pytest.mark.parametrize("requested", [0, -2])
+def test_thread_request_below_one_is_invalid(monkeypatch, requested):
+    monkeypatch.setenv("HSCUBE_THREADS", "2")
+    with pytest.raises(InvalidConfig, match=rf"^threads must be at least 1, got {requested}$"):
+        resolve_threads(requested)
+
+
+@pytest.mark.parametrize("value", ["0", "-1", " -3 "])
+def test_thread_variable_below_one_is_invalid(monkeypatch, value):
+    monkeypatch.setenv("HSCUBE_THREADS", value)
+    with pytest.raises(InvalidConfig, match=r"^HSCUBE_THREADS must be at least 1"):
+        resolve_threads()
+    assert resolve_threads(1) == 1  # an explicit request wins
+
+
 def test_no_op_limiter_keeps_submission_order(monkeypatch):
     monkeypatch.setattr(parallel, "_openblas_controls", lambda: None)
 
@@ -249,3 +270,151 @@ def test_no_op_limiter_keeps_submission_order(monkeypatch):
         return job
 
     assert run_jobs([make_job(i) for i in range(6)], threads=3) == list(range(6))
+
+
+class TestPool:
+    """The caller is one of the pool's workers; jobs are taken in
+    submission order from one shared counter."""
+
+    def test_caller_runs_a_job(self):
+        # two jobs that must run at once: the caller takes one of them
+        both_running = threading.Barrier(2, timeout=TIMEOUT)
+
+        def job():
+            both_running.wait()
+            return threading.get_ident()
+
+        idents = run_jobs([job, job], threads=2)
+        assert threading.get_ident() in idents
+        assert len(set(idents)) == 2
+
+    @pytest.mark.parametrize("threads", [2, 3])
+    def test_at_most_n_threads_caller_included(self, threads):
+        before = threading.active_count()
+        seen = []
+
+        def job():
+            seen.append((threading.get_ident(), threading.active_count()))
+            time.sleep(0.002)
+
+        run_jobs([job] * 12, threads=threads)
+        assert len({ident for ident, _ in seen}) <= threads
+        assert max(active for _, active in seen) <= before + threads - 1
+        assert threading.active_count() == before  # every started thread is joined
+
+    def test_each_job_runs_once_under_frequent_switches(self):
+        # more workers than cores, switching threads every microsecond: a
+        # job handed out twice or skipped shows in the run counts
+        runs = [0] * 400
+        switch = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            def make_job(i):
+                def job():
+                    runs[i] += 1  # one worker per index, so no lost update
+                    return i
+
+                return job
+
+            results = run_jobs([make_job(i) for i in range(400)], threads=8)
+        finally:
+            sys.setswitchinterval(switch)
+        assert results == list(range(400))
+        assert runs == [1] * 400
+
+    def test_later_jobs_run_after_an_earlier_one_raises(self):
+        ran = []
+
+        def boom():
+            raise RuntimeError("first job failed")
+
+        def make_job(i):
+            def job():
+                time.sleep(0.002)
+                ran.append(i)
+                return i
+
+            return job
+
+        with pytest.raises(RuntimeError, match="first job failed"):
+            run_jobs([boom] + [make_job(i) for i in range(1, 8)], threads=2)
+        assert sorted(ran) == list(range(1, 8))
+
+    def test_earliest_failure_is_raised(self):
+        def late_failure():
+            time.sleep(0.05)  # fails after job 2 has failed
+            raise ValueError("job 1")
+
+        def early_failure():
+            raise KeyError("job 2")
+
+        with pytest.raises(ValueError, match="job 1"):
+            run_jobs([lambda: 0, late_failure, early_failure, lambda: 3], threads=3)
+
+    def test_interrupt_of_the_caller_stops_handing_out_jobs(self):
+        caller = threading.get_ident()
+        before = threading.active_count()
+        ran = []
+
+        def make_job(i):
+            def job():
+                if threading.get_ident() == caller:
+                    raise KeyboardInterrupt
+                time.sleep(0.01)
+                ran.append(i)
+
+            return job
+
+        with pytest.raises(KeyboardInterrupt):
+            run_jobs([make_job(i) for i in range(50)], threads=2)
+        assert threading.active_count() == before  # the running job was waited for
+        done = len(ran)
+        time.sleep(0.05)
+        assert len(ran) == done < 49
+
+    def test_thread_that_cannot_start(self, monkeypatch):
+        def refuse(thread):
+            raise RuntimeError("can't start new thread")
+
+        monkeypatch.setattr(threading.Thread, "start", refuse)
+        with pytest.raises(RuntimeError, match="can't start new thread"):
+            run_jobs([lambda: 1] * 3, threads=2)
+
+    @pytest.mark.skipif(not sys.platform.startswith("linux")
+                        or platform.libc_ver()[0] != "glibc",
+                        reason="counts the page faults of glibc's per-thread heaps")
+    def test_fresh_process_pool_runs_without_faults(self):
+        # A pool's started thread gets a glibc heap of its own; with the
+        # malloc thresholds raised in every pass, the windows of a pooled
+        # ccf_sliding reuse the same heap pages call after call.  The median
+        # call is taken: a call whose thread starts before the previous
+        # call's thread has fully exited is given a fresh heap by glibc,
+        # which faults in once (about 800 pages here, more often on a busy
+        # machine).
+        code = textwrap.dedent("""
+            import resource
+            import statistics
+            import hscube as hs
+            from hscube import DenoiseConfig
+            from hscube.ccf import WindowSpec, ccf_sliding
+            model = hs.bk7()
+            spec = hs.compound_spec(24, 24, model)
+            truth = hs.generate_truth(spec, model, (24, 24), hs.default_wavelengths(12))
+            noisy = hs.add_noise(truth, hs.NoiseSpec(1.3, 7))
+            cfg, window = DenoiseConfig(sigma=1.3), WindowSpec(8, 4)
+            for _ in range(2):
+                ccf_sliding(noisy, cfg, window, threads=2)
+            faults = []
+            for _ in range(7):
+                before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+                ccf_sliding(noisy, cfg, window, threads=2)
+                faults.append(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+            print(statistics.median(faults))
+        """)
+        src = str(Path(hs.__file__).resolve().parents[1])
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        env = dict(os.environ, PYTHONPATH=path)
+        res = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                             env=env, timeout=300)
+        assert res.returncode == 0, res.stderr
+        assert float(res.stdout) < 100
