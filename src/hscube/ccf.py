@@ -15,6 +15,7 @@ exactly once per band.  Windows are truncated at the cube edges.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import partial
 
 import numpy as np
 
@@ -115,11 +116,9 @@ def ccf_denoise(
     basis = identify_subspace(z)
     images = project(z, basis).reshape(basis.p, cube.n_rows, cube.n_cols)
     sigmas = np.sqrt(basis.eigen_noise_var)
-
-    def make_job(i):
-        return lambda: denoise_image(images[i], replace(cfg, sigma=float(sigmas[i])))
-
-    filtered = run_jobs([make_job(i) for i in range(basis.p)], threads)
+    jobs = [partial(denoise_image, image, replace(cfg, sigma=s))
+            for image, s in zip(images, sigmas.tolist())]
+    filtered = run_jobs(jobs, threads)
     n_px = cube.n_rows * cube.n_cols  # an all-zero cube has p = 0 and nothing to stack
     zeig_hat = np.array(filtered, dtype=np.complex128).reshape(basis.p, n_px)
     z_hat = back_project(zeig_hat, basis)
@@ -163,32 +162,23 @@ def ccf_sliding(
     """
     plan = sliding_plan(cube.n_bands, window)
     out = np.empty((cube.n_bands, cube.n_rows, cube.n_cols), dtype=np.complex128)
-
-    def make_job(run: WindowRun):
-        def job():
-            sub = ComplexCube(
-                wavelengths=cube.wavelengths[run.band_lo : run.band_hi],
-                data=cube.data[:, :, run.band_lo : run.band_hi],
-            )
-            local: list = []
-            result = ccf_denoise(sub, cfg, diagnostics=local, threads=1)
-            bands = result.data.transpose(2, 0, 1)  # the result's band-major buffer
-            for b in run.kept:
-                out[b] = bands[b - run.band_lo]
-            return local[0]
-
-        return job
-
-    infos = run_jobs([make_job(run) for run in plan], threads)
+    infos = run_jobs([partial(_run_window, cube, cfg, run, out) for run in plan], threads)
     if diagnostics is not None:
-        for run, info in zip(plan, infos):
-            info.update(
-                {
-                    "center": run.center,
-                    "band_lo": run.band_lo,
-                    "band_hi": run.band_hi,
-                    "kept_bands": list(run.kept),
-                }
-            )
-            diagnostics.append(info)
+        diagnostics.extend(infos)
     return ComplexCube(wavelengths=cube.wavelengths, data=out.transpose(1, 2, 0))
+
+
+def _run_window(cube: ComplexCube, cfg: DenoiseConfig, run: WindowRun, out: np.ndarray) -> dict:
+    """One window of ``ccf_sliding``: filter the window's band slice, write
+    the bands it owns into the band-major ``out``, and return its diagnostics."""
+    sub = ComplexCube(
+        wavelengths=cube.wavelengths[run.band_lo : run.band_hi],
+        data=cube.data[:, :, run.band_lo : run.band_hi],
+    )
+    local: list = []
+    result = ccf_denoise(sub, cfg, diagnostics=local, threads=1)
+    bands = result.data.transpose(2, 0, 1)  # the result's band-major buffer
+    for b in run.kept:
+        out[b] = bands[b - run.band_lo]
+    return {**local[0], "center": run.center, "band_lo": run.band_lo, "band_hi": run.band_hi,
+            "kept_bands": list(run.kept)}

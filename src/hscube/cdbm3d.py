@@ -112,14 +112,20 @@ def _check_int(name: str, value, low: int) -> int:
     return int(value)
 
 
-def _check_real(name: str, value) -> float:
-    """``value`` as a finite, nonnegative float."""
+def _check_finite(name: str, value) -> float:
+    """``value`` as a finite float; bools are not numbers here."""
     if (isinstance(value, bool) or not isinstance(value, numbers.Real)
             or not math.isfinite(value)):
         raise InvalidConfig(f"{name}: expected a finite number, got {value!r}")
-    if value < 0:
-        raise InvalidConfig(f"{name}: must be nonnegative, got {value}")
     return float(value)
+
+
+def _check_real(name: str, value) -> float:
+    """``value`` as a finite, nonnegative float."""
+    real = _check_finite(name, value)
+    if real < 0:
+        raise InvalidConfig(f"{name}: must be nonnegative, got {value}")
+    return real
 
 
 @dataclass(eq=False)

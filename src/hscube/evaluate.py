@@ -13,6 +13,7 @@ import csv
 import io
 import time
 from dataclasses import asdict, dataclass, field, fields, replace
+from functools import partial
 
 import numpy as np
 
@@ -147,15 +148,27 @@ def baseline_average(
     return ComplexCube(wavelengths=noisy.wavelengths, data=data)
 
 
+def _filter_bands(noisy: ComplexCube, filter_band, threads: int) -> ComplexCube:
+    """``filter_band(band)`` of every band, one pool job each, stacked into a cube."""
+    _require_bands(noisy)
+    jobs = [partial(filter_band, noisy.band(b)) for b in range(noisy.n_bands)]
+    slices = run_jobs(jobs, threads)
+    return ComplexCube(wavelengths=noisy.wavelengths, data=np.stack(slices).transpose(1, 2, 0))
+
+
 def per_slice_cdbm3d(noisy: ComplexCube, cfg: DenoiseConfig, threads: int = 1) -> ComplexCube:
     """Filter every band independently with the complex patch filter."""
-    _require_bands(noisy)
+    return _filter_bands(noisy, partial(denoise_image, cfg=cfg), threads)
 
-    def make_job(b):
-        return lambda: denoise_image(noisy.band(b), cfg)
 
-    slices = run_jobs([make_job(b) for b in range(noisy.n_bands)], threads)
-    return ComplexCube(wavelengths=noisy.wavelengths, data=np.stack(slices).transpose(1, 2, 0))
+def _separate_band(band: np.ndarray, cfg: DenoiseConfig) -> np.ndarray:
+    sigma = cfg.sigma
+    if sigma is None:
+        sigma = estimate_sigma(band, cfg)
+    real_cfg = replace(cfg, sigma=sigma / np.sqrt(2.0))
+    amp = denoise_image(np.abs(band).astype(np.complex128), real_cfg).real
+    phase = denoise_image(np.angle(band).astype(np.complex128), real_cfg).real
+    return np.maximum(amp, 0.0) * np.exp(1j * phase)
 
 
 def baseline_separate(noisy: ComplexCube, cfg: DenoiseConfig, threads: int = 1) -> ComplexCube:
@@ -163,23 +176,7 @@ def baseline_separate(noisy: ComplexCube, cfg: DenoiseConfig, threads: int = 1) 
     images, then recombine.  Each real image is filtered with the
     per-component deviation sigma/sqrt(2); negative filtered amplitudes are
     clamped to zero."""
-    _require_bands(noisy)
-
-    def make_job(b):
-        def job():
-            band = noisy.band(b)
-            sigma = cfg.sigma
-            if sigma is None:
-                sigma = estimate_sigma(band, cfg)
-            real_cfg = replace(cfg, sigma=sigma / np.sqrt(2.0))
-            amp = denoise_image(np.abs(band).astype(np.complex128), real_cfg).real
-            phase = denoise_image(np.angle(band).astype(np.complex128), real_cfg).real
-            return np.maximum(amp, 0.0) * np.exp(1j * phase)
-
-        return job
-
-    slices = run_jobs([make_job(b) for b in range(noisy.n_bands)], threads)
-    return ComplexCube(wavelengths=noisy.wavelengths, data=np.stack(slices).transpose(1, 2, 0))
+    return _filter_bands(noisy, partial(_separate_band, cfg=cfg), threads)
 
 
 # ---------------------------------------------------------------------------
@@ -194,6 +191,10 @@ class ObjectDef:
     max_phase: float = 28.9
 
     def __post_init__(self):
+        if not isinstance(self.kind, ObjectKind):
+            raise InvalidConfig(f"kind: expected an ObjectKind, got {self.kind!r}")
+        if not isinstance(self.name, str):
+            raise InvalidConfig(f"name: expected a string, got {self.name!r}")
         for name in ("target_phase", "max_phase"):
             object.__setattr__(self, name, _check_real(name, getattr(self, name)))
         if self.kind is ObjectKind.TWO_PEAK:
@@ -228,6 +229,8 @@ class MethodDef:
             raise InvalidConfig(
                 f"average_mode: expected 'global' or 'pairwise', got {self.average_mode!r}"
             )
+        if not isinstance(self.label, str):
+            raise InvalidConfig(f"label: expected a string, got {self.label!r}")
 
     @property
     def report_label(self) -> str:
@@ -236,11 +239,8 @@ class MethodDef:
 
 @dataclass(frozen=True)
 class Manifest:
-    n_rows: int
-    n_cols: int
-    n_bands: int
-    lambda_lo: float
-    lambda_hi: float
+    size: tuple[int, int, int]  # rows, cols, bands
+    lambda_nm: tuple[float, float]  # lo, hi
     dispersion: DispersionModel
     objects: tuple[ObjectDef, ...]
     sigmas: tuple[float, ...]
@@ -313,15 +313,9 @@ def parse_manifest(doc: dict) -> Manifest:
     if not isinstance(disp_raw, dict):
         raise ManifestError("dispersion: expected an object")
     _known_keys(disp_raw, {"a0", "b0_um2", "c0_um4"}, "dispersion.")
-    base = DispersionModel()
-    try:
-        dispersion = DispersionModel(
-            a0=float(disp_raw.get("a0", base.a0)),
-            b0_um2=float(disp_raw.get("b0_um2", base.b0_um2)),
-            c0_um4=float(disp_raw.get("c0_um4", base.c0_um4)),
-        )
-    except (TypeError, ValueError) as exc:
-        raise ManifestError(f"dispersion: {exc}")
+    with _setting("dispersion: "):
+        dispersion = DispersionModel(**disp_raw)
+        refractive_index(dispersion, np.linspace(*lam, size[2]))  # the grid of ObjectDef.truth
 
     objects = []
     for i, entry in enumerate(_need(doc, "objects", list, "")):
@@ -336,24 +330,16 @@ def parse_manifest(doc: dict) -> Manifest:
             kind = ObjectKind(kind_name)
         except ValueError:
             raise ManifestError(f"{path}kind: unknown object kind {kind_name!r}")
-        with _setting(path):
-            objects.append(
-                ObjectDef(
-                    kind=kind,
-                    name=str(entry.get("name", kind_name)),
-                    target_phase=entry.get("target_phase", ObjectDef.target_phase),
-                    max_phase=entry.get("max_phase", ObjectDef.max_phase),
-                )
-            )
+        with _setting(path):  # an object is named after its kind unless it has a name
+            objects.append(ObjectDef(**{"name": kind_name, **entry, "kind": kind}))
 
-    sigmas = _need(doc, "sigmas", list, "")
-    for i, sigma in enumerate(sigmas):
+    sigmas, seeds = [], []
+    for i, sigma in enumerate(_need(doc, "sigmas", list, "")):
         with _setting(f"sigmas[{i}]: "):
-            NoiseSpec(sigma=sigma)
-    seeds = _need(doc, "seeds", list, "")
-    for i, seed in enumerate(seeds):
+            sigmas.append(NoiseSpec(sigma=sigma).sigma)
+    for i, seed in enumerate(_need(doc, "seeds", list, "")):
         with _setting(f"seeds[{i}]: "):
-            NoiseSpec(sigma=0.0, seed=seed)
+            seeds.append(NoiseSpec(sigma=0.0, seed=seed).seed)
 
     methods = []
     for i, entry in enumerate(_need(doc, "methods", list, "")):
@@ -362,8 +348,6 @@ def parse_manifest(doc: dict) -> Manifest:
             raise ManifestError(f"methods[{i}]: expected an object")
         _known_keys(entry, _METHOD_KEYS, path)
         name = _need(entry, "name", str, path)
-        if name not in METHOD_NAMES:
-            raise ManifestError(f"{path}name: unknown method {name!r}")
         cfg = _parse_config(entry.get("config", {}), path + "config.")
         with _setting(f"{path}window: "):
             window = WindowSpec(
@@ -372,29 +356,21 @@ def parse_manifest(doc: dict) -> Manifest:
             )
             if name == "ccf-sliding":
                 _check_edge_width(size[2], window)
-        mode = entry.get("mode", MethodDef.average_mode)
-        if mode not in ("global", "pairwise"):
-            raise ManifestError(f"{path}mode: expected 'global' or 'pairwise'")
-        label = entry.get("label", "")
-        if not isinstance(label, str):
-            raise ManifestError(f"{path}label: expected a string")
-        methods.append(
-            MethodDef(name=name, config=cfg, window=window, average_mode=mode, label=label)
-        )
+        with _setting(path):
+            methods.append(MethodDef(name=name, config=cfg, window=window,
+                                     average_mode=entry.get("mode", MethodDef.average_mode),
+                                     label=entry.get("label", MethodDef.label)))
 
     output_csv = doc.get("output_csv")
     if output_csv is not None and not isinstance(output_csv, str):
         raise ManifestError("output_csv: expected a string path")
 
     return Manifest(
-        n_rows=size[0],
-        n_cols=size[1],
-        n_bands=size[2],
-        lambda_lo=lam[0],
-        lambda_hi=lam[1],
+        size=size,
+        lambda_nm=lam,
         dispersion=dispersion,
         objects=tuple(objects),
-        sigmas=tuple(float(s) for s in sigmas),
+        sigmas=tuple(sigmas),
         seeds=tuple(seeds),
         methods=tuple(methods),
         output_csv=output_csv,
@@ -522,10 +498,8 @@ def run_experiment(manifest: Manifest, threads: int = 1, measure_time: bool = Fa
     """
     reports: list[MetricsReport] = []
     failures: list[tuple[str, str]] = []
-    size = (manifest.n_rows, manifest.n_cols, manifest.n_bands)
-    lambda_nm = (manifest.lambda_lo, manifest.lambda_hi)
     for obj in manifest.objects:
-        truth = _attempt(obj.truth, size, lambda_nm, manifest.dispersion)
+        truth = _attempt(obj.truth, manifest.size, manifest.lambda_nm, manifest.dispersion)
         for sigma in manifest.sigmas:
             for seed in manifest.seeds:
                 inputs = _attempt(_noisy_input, truth, sigma, seed)

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cdbm3d import _check_int, _check_real
+from .cdbm3d import _check_finite, _check_int, _check_real
 from .cube import ComplexCube
 from .errors import DimensionMismatch, InvalidConfig, NonPositiveWavelength, OutOfBounds
 
@@ -35,17 +35,20 @@ SECTION_BOUNDARIES = (1.0 / 3.0, 2.0 / 3.0)
 
 @dataclass(frozen=True)
 class DispersionModel:
-    """Cauchy dispersion n(lambda) = a0 + b0/lambda^2 + c0/lambda^4, lambda in um."""
+    """Cauchy dispersion n(lambda) = a0 + b0/lambda^2 + c0/lambda^4, lambda in um.
+
+    Each coefficient is a finite real, and the index must stay finite and
+    above 1 over 400-798 nm; ``refractive_index`` checks it again at the
+    wavelengths it is asked for."""
 
     a0: float = BK7_A0
     b0_um2: float = BK7_B0
     c0_um4: float = 0.0
 
     def __post_init__(self):
-        lam = np.linspace(0.400, 0.798, 256)
-        n = self.a0 + self.b0_um2 / lam**2 + self.c0_um4 / lam**4
-        if not np.all(np.isfinite(n) & (n > 1.0)):
-            raise InvalidConfig("refractive index must stay finite and above 1 over 400-798 nm")
+        for name in ("a0", "b0_um2", "c0_um4"):
+            object.__setattr__(self, name, _check_finite(name, getattr(self, name)))
+        refractive_index(self, np.linspace(400.0, 798.0, 256))
 
 
 def bk7() -> DispersionModel:
@@ -53,12 +56,18 @@ def bk7() -> DispersionModel:
 
 
 def refractive_index(model: DispersionModel, lambda_nm: float):
-    """Evaluate the Cauchy formula at a wavelength given in nanometers."""
+    """Evaluate the Cauchy formula at a wavelength given in nanometers; an
+    index that is not finite and above 1 at any of them is ``InvalidConfig``."""
     lam = np.asarray(lambda_nm, dtype=np.float64)
     if np.any(lam <= 0):
         raise NonPositiveWavelength(f"wavelength must be positive, got {lambda_nm}")
     lam_um = lam / 1000.0
-    return model.a0 + model.b0_um2 / lam_um**2 + model.c0_um4 / lam_um**4
+    n = model.a0 + model.b0_um2 / lam_um**2 + model.c0_um4 / lam_um**4
+    bad = np.flatnonzero(~(np.isfinite(n) & (n > 1.0)))
+    if bad.size:
+        raise InvalidConfig(f"refractive index must stay finite and above 1, got "
+                            f"{np.ravel(n)[bad[0]]:g} at {np.ravel(lam)[bad[0]]:g} nm")
+    return n
 
 
 def wrap_phase(phi):
@@ -89,7 +98,7 @@ class PhaseObjectSpec:
             if m.ndim != 2 or m.shape != maps[0].shape:
                 raise DimensionMismatch("all thickness maps must share one 2D shape")
             if not np.all(np.isfinite(m)) or np.any(m < 0):
-                raise ValueError("thickness must be finite and nonnegative")
+                raise InvalidConfig("thickness must be finite and nonnegative")
         if self.kind is ObjectKind.COMPOUND:
             if len(maps) != 3:
                 raise DimensionMismatch("compound object needs exactly 3 thickness maps")

@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import json
 import subprocess
 import sys
@@ -11,7 +12,7 @@ from hscube import cli
 from hscube.ccf import WindowSpec
 from hscube.cdbm3d import DenoiseConfig
 from hscube.cube import read_cube, write_cube
-from hscube.evaluate import CSV_COLUMNS, METHOD_NAMES, ObjectDef
+from hscube.evaluate import CSV_COLUMNS, METHOD_NAMES, ObjectDef, config_snapshot
 from hscube.synth import ObjectKind
 
 
@@ -95,6 +96,8 @@ class TestSynth:
         ("--dispersion", "0.5,0"),
         ("--lambda", 0, 500),
         ("--object", "compound", "--size", 9, 9, 4),
+        # the index is above 1 over 400-798 nm, below 1 at 200-300 nm
+        ("--lambda", 200, 300, "--dispersion", "1.5,0,-0.01"),
     ])
     def test_bad_flags_exit_2(self, tmp_path, flags):
         res = run_cli(  # a repeated flag takes its last value
@@ -124,7 +127,59 @@ class TestSynth:
         assert not (tmp_path / "t.chsc").exists()
 
 
+# every DenoiseConfig flag of `denoise`: a value other than the default, the
+# config fields it sets, and an out-of-range value
+CONFIG_FLAGS = [
+    ("--patch", (4, 6), {"patch_rows": 4, "patch_cols": 6}, (4, 0)),
+    ("--patch-step", (2,), {"patch_step": 2}, (0,)),
+    ("--search-radius", (5,), {"search_radius": 5}, (-1,)),
+    ("--group-size", (8,), {"max_group_size": 8}, (0,)),
+    ("--match-threshold", (0.5,), {"match_threshold": 0.5}, (-1,)),
+    ("--hard-threshold", (3.5,), {"hard_threshold_factor": 3.5}, ("nan",)),
+    ("--sigma", (0.7,), {"sigma": 0.7}, ("inf",)),
+    ("--variant", ("complex3d",), {"variant": "complex3d"}, ("complex4d",)),
+    ("--stages", ("threshold",), {"stages": "threshold"}, ("wiener",)),
+]
+
+
 class TestDenoise:
+    def test_config_flags_cover_every_field(self):
+        covered = {name for _, _, fields, _ in CONFIG_FLAGS for name in fields}
+        assert covered == {f.name for f in dataclasses.fields(DenoiseConfig)}
+
+    @pytest.mark.parametrize("flag, value, expected, bad", CONFIG_FLAGS,
+                             ids=[row[0] for row in CONFIG_FLAGS])
+    def test_config_flag_reaches_the_sidecar(self, synth_dir, tmp_path, flag, value, expected,
+                                             bad):
+        out = tmp_path / "c.chsc"
+        res = run_cli("denoise", "--method", "cdbm3d-slice", flag, *value,
+                      synth_dir / "noisy.chsc", out)
+        assert res.returncode == 0, res.stderr
+        config = json.loads((tmp_path / "c.chsc.json").read_text())["config"]
+        assert {key: config[key] for key in expected} == expected
+        default = config_snapshot(DenoiseConfig())
+        assert {key: v for key, v in config.items() if key not in expected} == {
+            key: v for key, v in default.items() if key not in expected
+        }
+
+        res = run_cli("denoise", "--method", "cdbm3d-slice", flag, *bad,
+                      synth_dir / "noisy.chsc", tmp_path / "bad.chsc")
+        assert res.returncode == 2, res.stderr
+        assert "Traceback" not in res.stderr
+        assert not (tmp_path / "bad.chsc").exists()
+
+    def test_timings_fill_only_the_sidecar_seconds(self, synth_dir, tmp_path):
+        seconds, cubes = [], []
+        for name, flags in (("plain.chsc", ()), ("timed.chsc", ("--timings",))):
+            res = run_cli("denoise", "--method", "ccf", *flags, synth_dir / "noisy.chsc",
+                          tmp_path / name)
+            assert res.returncode == 0, res.stderr
+            seconds.append(json.loads((tmp_path / (name + ".json")).read_text())["seconds"])
+            cubes.append((tmp_path / name).read_bytes())
+        assert seconds[0] is None
+        assert isinstance(seconds[1], float) and seconds[1] > 0
+        assert cubes[0] == cubes[1]
+
     def test_ccf_sliding_with_sidecar(self, synth_dir, tmp_path):
         out = tmp_path / "den.chsc"
         res = run_cli(
@@ -200,6 +255,16 @@ class TestDenoise:
         assert res.returncode == 2, res.stderr
         assert res.stderr.startswith(f"error: {field}: ")
         assert not (tmp_path / "z.chsc").exists()
+
+    def test_average_below_index_one_at_the_cube_wavelengths_exit_2(self, tmp_path):
+        cube = hs.ComplexCube(wavelengths=np.array([200.0, 250.0, 300.0]),
+                              data=np.ones((8, 8, 3), complex))
+        write_cube(cube, tmp_path / "uv.chsc")
+        res = run_cli("denoise", "--method", "average", "--dispersion", "1.5,0,-0.01",
+                      tmp_path / "uv.chsc", tmp_path / "avg.chsc")
+        assert res.returncode == 2, res.stderr
+        assert res.stderr.startswith("error: refractive index "), res.stderr
+        assert not (tmp_path / "avg.chsc").exists()
 
     @pytest.fixture(scope="class")
     def twenty_bands(self, tmp_path_factory):
@@ -393,6 +458,12 @@ class TestSweep:
         ({"methods": [{"name": "noop", "windw": 3}]}, "methods[0].windw: unknown field"),
         ({"methods": [{"name": "noop", "sigma_known": False}]},
          "methods[0].sigma_known: unknown field"),
+        ({"dispersion": {"a0": "1.5"}}, "dispersion: a0: "),
+        ({"dispersion": {"a0": True}}, "dispersion: a0: "),
+        ({"lambda_nm": [200, 300], "dispersion": {"a0": 1.5, "b0_um2": 0, "c0_um4": -0.01}},
+         "dispersion: refractive index must stay finite and above 1"),
+        ({"objects": [{"kind": "two-peak", "name": 7}]}, "objects[0].name: "),
+        ({"methods": [{"name": "noop", "label": 5}]}, "methods[0].label: "),
     ])
     def test_noise_and_object_settings_exit_2(self, tmp_path, override, where):
         manifest = tmp_path / "bad.manifest"
@@ -405,6 +476,23 @@ class TestSweep:
         assert res.returncode == 2, res.stderr
         assert res.stderr.startswith(f"error: {where}"), res.stderr
         assert not (tmp_path / "out.csv").exists()
+
+    def test_timings_fill_the_seconds_column(self, tmp_path):
+        manifest = tmp_path / "timed.manifest"
+        manifest.write_text(json.dumps({
+            "schema_version": 1, "size": [16, 16, 8], "lambda_nm": [400, 798],
+            "objects": ["two-peak"], "sigmas": [1.0], "seeds": [2],
+            "methods": [{"name": "average"}],
+        }))
+        for flags in ((), ("--timings",)):
+            res = run_cli("sweep", *flags, "--out", tmp_path / "t.csv", manifest)
+            assert res.returncode == 0, res.stderr
+            seconds = {row["seconds"] for row in read_rows(tmp_path / "t.csv")}
+            if flags:
+                (value,) = seconds  # one combination, so one time on all its rows
+                assert float(value) > 0
+            else:
+                assert seconds == {"0.0"}
 
     def test_not_json_exit_2(self, tmp_path):
         manifest = tmp_path / "garbage.manifest"

@@ -210,6 +210,14 @@ class TestObjectTruth:
         assert np.array_equal(truth.wavelengths, wavelengths)
         assert truth.data.tobytes() == expected.data.tobytes()
 
+    @pytest.mark.parametrize("kwargs, where", [
+        ({"kind": "compound", "name": "bars"}, r"^kind: expected an ObjectKind, got 'compound'"),
+        ({"kind": ObjectKind.WRAPPED_PEAK, "name": 7}, r"^name: expected a string, got 7"),
+    ])
+    def test_hand_built_object_checked_when_built(self, kwargs, where):
+        with pytest.raises(InvalidConfig, match=where):
+            ObjectDef(**kwargs)
+
 
 def small_manifest(**overrides):
     doc = {
@@ -231,7 +239,7 @@ def small_manifest(**overrides):
 class TestManifest:
     def test_parse_minimal(self):
         m = parse_manifest(small_manifest())
-        assert m.n_bands == 8
+        assert m.size == (16, 16, 8) and m.lambda_nm == (400.0, 798.0)
         assert m.objects[0].kind is ObjectKind.TWO_PEAK
         assert m.methods[0].average_mode == "global"
 
@@ -305,6 +313,14 @@ class TestManifest:
         ({"sigmas": [0.5, "1"]}, r"sigmas\[1\]: sigma: "),
         ({"size": [16, 0, 8]}, r"size: "),
         ({"lambda_nm": [float("nan"), 500]}, r"lambda_nm: "),
+        ({"dispersion": {"a0": "1.5"}}, r"dispersion: a0: expected a finite number, got '1\.5'"),
+        ({"dispersion": {"a0": True}}, r"dispersion: a0: "),
+        ({"dispersion": {"b0_um2": float("nan")}}, r"dispersion: b0_um2: "),
+        ({"dispersion": {"a0": 0.9, "b0_um2": 0}}, r"dispersion: refractive index "),
+        ({"objects": [{"kind": "wrapped", "name": 7}]}, r"objects\[0\]\.name: "),
+        ({"methods": [{"name": "noop", "label": 5}]}, r"methods\[0\]\.label: "),
+        ({"methods": [{"name": "average", "mode": "Global"}]},
+         r"methods\[0\]\.average_mode: .*'Global'"),
     ])
     def test_noise_object_and_geometry_errors_name_their_field(self, override, where):
         with pytest.raises(ManifestError, match="^" + where):
@@ -329,6 +345,15 @@ class TestManifest:
         assert manifest.methods
         assert all(method.name in METHOD_NAMES for method in manifest.methods)
 
+    def test_index_checked_on_the_manifest_grid(self):
+        # above 1 over 400-798 nm, below 1 at 200 nm, where this grid starts
+        dispersion = {"a0": 1.5, "b0_um2": 0.0, "c0_um4": -0.01}
+        assert parse_manifest(small_manifest(dispersion=dispersion)).dispersion == (
+            DispersionModel(1.5, 0.0, -0.01)
+        )
+        with pytest.raises(ManifestError, match=r"^dispersion: refractive index .* at 200 nm"):
+            parse_manifest(small_manifest(dispersion=dispersion, lambda_nm=[200, 300]))
+
     def test_empty_lists_allowed(self):
         m = parse_manifest(small_manifest(objects=[], methods=[]))
         reports, failures = run_experiment(m)
@@ -338,6 +363,7 @@ class TestManifest:
         ({"name": "bogus"}, r"^name: unknown method 'bogus'"),
         ({"name": "noop", "average_mode": "x"}, r"^average_mode: .*'x'"),
         ({"name": "average", "average_mode": "Global"}, r"^average_mode: .*'Global'"),
+        ({"name": "noop", "label": 5}, r"^label: expected a string, got 5"),
     ])
     def test_hand_built_method_checked_when_built(self, kwargs, where):
         # checked like DenoiseConfig and WindowSpec, before any cube is built

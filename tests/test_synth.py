@@ -37,6 +37,29 @@ class TestDispersion:
         with pytest.raises(InvalidConfig):
             hs.DispersionModel(a0=a0, b0_um2=0.0)
 
+    @pytest.mark.parametrize("kwargs, field", [
+        ({"a0": "1.5"}, "a0"),
+        ({"a0": True}, "a0"),
+        ({"a0": math.nan}, "a0"),
+        ({"b0_um2": math.inf}, "b0_um2"),
+        ({"c0_um4": None}, "c0_um4"),
+    ])
+    def test_coefficients_are_finite_reals(self, kwargs, field):
+        with pytest.raises(InvalidConfig, match=f"^{field}: expected a finite number"):
+            hs.DispersionModel(**kwargs)
+
+    def test_coefficients_stored_as_floats(self):
+        model = hs.DispersionModel(a0=2, b0_um2=np.float32(0.5), c0_um4=0)
+        assert [type(v) for v in (model.a0, model.b0_um2, model.c0_um4)] == [float] * 3
+        assert model == hs.DispersionModel(2.0, 0.5, 0.0)
+
+    def test_index_checked_at_the_requested_wavelengths(self):
+        # above 1 over 400-798 nm, so the model itself is accepted
+        model = hs.DispersionModel(a0=1.5, b0_um2=0.0, c0_um4=-0.01)
+        assert hs.refractive_index(model, 400.0) > 1.0
+        with pytest.raises(InvalidConfig, match=r"^refractive index .*, got -4\.75 at 200 nm"):
+            hs.refractive_index(model, [400.0, 200.0])
+
 
 class TestWrapPhase:
     def test_half_open_convention(self):
@@ -54,6 +77,16 @@ class TestWrapPhase:
 
 
 class TestPhaseObjects:
+    @pytest.mark.parametrize("value", [-1.0, np.nan])
+    def test_thickness_must_be_finite_and_nonnegative(self, value):
+        with pytest.raises(InvalidConfig, match="thickness must be finite and nonnegative"):
+            PhaseObjectSpec(kind=ObjectKind.TWO_PEAK, thickness_maps=(np.full((3, 3), value),))
+
+    def test_two_peak_below_index_one_is_a_config_error(self):
+        model = hs.DispersionModel(a0=1.5, b0_um2=0.0, c0_um4=-0.01)
+        with pytest.raises(InvalidConfig, match=r"^refractive index .* at 200 nm"):
+            hs.two_peak_spec(8, 8, model, 200.0)
+
     def test_zero_thickness_zero_phase(self, model):
         spec = PhaseObjectSpec(kind=ObjectKind.TWO_PEAK, thickness_maps=(np.zeros((4, 4)),))
         assert hs.phase_at(spec, model, 1, 2, 500.0) == 0.0
