@@ -21,7 +21,7 @@ import numpy as np
 
 from .cdbm3d import DenoiseConfig, _check_int, _ldexp, _rescaled, _scale_exponent, denoise_image
 from .cube import ComplexCube, reshape_to_cube, reshape_to_matrix
-from .errors import DimensionMismatch, InvalidConfig
+from .errors import InvalidConfig
 from .parallel import _single_threaded_blas, run_jobs
 from .subspace import back_project, identify_subspace, project
 
@@ -48,20 +48,6 @@ class WindowRun:
     kept: tuple[int, ...]  # absolute band indices this run contributes
 
 
-def _check_edge_width(n_bands: int, window: WindowSpec) -> None:
-    """Reject a width whose plan would fail at its first window: the edge
-    window at band 0 holds ceil(width / 2) bands, and the noise estimate of
-    the subspace needs at least 3.  A window at least as wide as the cube is
-    the whole cube, not an edge window."""
-    edge = (window.width + 1) // 2
-    if window.width < n_bands and edge < 3:
-        raise InvalidConfig(
-            f"width: must be at least 5, or at least the band count {n_bands}, got "
-            f"{window.width}: the edge window at band 0 would hold {edge} band(s), "
-            f"and the noise estimate needs 3"
-        )
-
-
 def sliding_plan(n_bands: int, window: WindowSpec) -> list[WindowRun]:
     """Window centers, their clamped band ranges, and the band ownership map.
 
@@ -70,24 +56,30 @@ def sliding_plan(n_bands: int, window: WindowSpec) -> list[WindowRun]:
     neighborhood.  A window at least as wide as the cube is the whole cube
     wherever it is centered, so the plan is then one run, centered at the
     middle band.  Bands are owned by the nearest center whose window covers
-    them; when the width/step combination leaves some band uncovered the
-    plan is rejected, and so is a width whose edge windows would hold fewer
-    than the 3 bands the subspace needs (``InvalidConfig``), before any
-    window runs.
+    them.  The plan is rejected (``InvalidConfig``), before any window runs,
+    when some window other than the whole cube holds fewer than the 3 bands
+    the subspace's noise estimate needs (``width: ``), or when the
+    width/step combination leaves some band uncovered (``step: ``).
     """
-    _check_edge_width(n_bands, window)
     wide = window.width >= n_bands
     centers = np.array([n_bands // 2]) if wide else np.arange(0, n_bands, window.step)
     start = centers - window.width // 2
     lo, hi = np.maximum(0, start), np.minimum(n_bands, start + window.width)
+    narrowest = int((hi - lo).min())
+    if not wide and narrowest < 3:
+        raise InvalidConfig(
+            f"width: {window.width} on {n_bands} bands leaves a window of {narrowest} "
+            f"band(s), and the noise estimate needs 3; widen it, or make it at least "
+            f"the band count"
+        )
     bands = np.arange(n_bands)[:, None]
     covers = (lo <= bands) & (bands < hi)
     # the nearest covering center; argmin takes the first, the lower, on a tie
     owner = np.where(covers, np.abs(bands - centers), n_bands).argmin(axis=1)
     covered = covers.any(axis=1)
     if not covered.all():
-        raise DimensionMismatch(f"band {covered.argmin()} is not covered by any window "
-                                f"(width={window.width}, step={window.step})")
+        raise InvalidConfig(f"step: band {covered.argmin()} is not covered by any window "
+                            f"(width={window.width}, step={window.step})")
     return [WindowRun(c, l, h, tuple(np.flatnonzero(owner == i).tolist()))
             for i, (c, l, h) in enumerate(zip(centers.tolist(), lo.tolist(), hi.tolist()))]
 

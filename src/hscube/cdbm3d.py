@@ -340,15 +340,12 @@ def _match(match_image: np.ndarray, refs, cfg: DenoiseConfig):
 
         idx, d = _nearest(dist, keep)
         del dist, outside  # freed before the next tile's product
-        found = d < np.inf  # a prefix of each row
-        flat = idx[found]
-        counts = found.sum(axis=1)
-        starts = np.cumsum(counts) - counts
-        rows = np.insert(br + flat // bw, starts, r)
-        cols = np.insert(bc + flat % bw, starts, c)
-        splits = np.cumsum(counts + 1)[:-1]
-        for gi, rr, cc in zip(members, np.split(rows, splits), np.split(cols, splits)):
-            groups[gi] = (rr, cc)
+        # the reference, then the found members, which are a prefix of each row
+        sizes = 1 + np.count_nonzero(d < np.inf, axis=1)
+        idx = np.concatenate([own[:, None], idx], axis=1)
+        rows, cols = br + idx // bw, bc + idx % bw
+        for gi, rr, cc, k in zip(members, rows, cols, sizes.tolist()):
+            groups[gi] = (rr[:k], cc[:k])
     return groups
 
 
@@ -357,7 +354,8 @@ def _collect_groups(match_image: np.ndarray, cfg: DenoiseConfig):
     h, w = match_image.shape
     grid_r = _reference_grid(h, cfg.patch_rows, cfg.patch_step)
     grid_c = _reference_grid(w, cfg.patch_cols, cfg.patch_step)
-    return _match(match_image, [(int(r), int(c)) for r in grid_r for c in grid_c], cfg)
+    refs = np.stack(np.meshgrid(grid_r, grid_c, indexing="ij"), axis=-1)  # in scan order
+    return _match(match_image, refs, cfg)
 
 
 def block_match(image: np.ndarray, ref_coord: tuple[int, int], cfg: DenoiseConfig):
@@ -653,22 +651,16 @@ _SIGMA_CALIBRATION_LOCK = threading.Lock()
 
 
 def _sigma_calibration(probe: DenoiseConfig, real: bool) -> float:
-    """Expected raw tail estimate on unit noise, real or complex, for this
-    tensor geometry.
+    """Expected raw tail estimate on unit noise, real or complex, for the
+    probe's tensor geometry.
 
     The data-adaptive factors soak up part of the noise energy, so the raw
     tail statistic underestimates sigma by a geometry-dependent factor;
-    dividing by this seeded unit-noise probe removes the bias.
+    dividing by this seeded unit-noise probe removes the bias.  The cache is
+    keyed on the kind of noise and the probe itself, which ``estimate_sigma``
+    builds from the fields that shape its groups only.
     """
-    # every field that shapes the probe's groups, and the kind of noise
-    key = (
-        real,
-        probe.patch_rows,
-        probe.patch_cols,
-        probe.patch_step,
-        probe.search_radius,
-        probe.max_group_size,
-    )
+    key = (real, probe)
     with _SIGMA_CALIBRATION_LOCK:  # pool workers share the cache
         if key not in _SIGMA_CALIBRATION:
             side = max(64, 2 * max(probe.patch_rows, probe.patch_cols))
@@ -696,11 +688,12 @@ def estimate_sigma(image: np.ndarray, cfg: DenoiseConfig | None = None) -> float
     cores hold only rounding residue.
     """
     base = cfg or DenoiseConfig()
-    probe = replace(
-        base,
+    probe = DenoiseConfig(  # every other field keeps its default
+        patch_rows=base.patch_rows,
+        patch_cols=base.patch_cols,
         patch_step=max(base.patch_rows, base.patch_cols),
+        search_radius=base.search_radius,
         max_group_size=min(base.max_group_size, 8),
-        match_threshold=None,
         sigma=0.0,
         variant=Variant.COMPLEX_3D,  # the probe works on complex tensors
     )

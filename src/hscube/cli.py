@@ -30,6 +30,7 @@ from .errors import (
     NonPositiveWavelength,
 )
 from .evaluate import (
+    AVERAGE_MODES,
     METHOD_NAMES,
     MethodDef,
     ObjectDef,
@@ -141,7 +142,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_den.add_argument("--sigma", type=float, default=None,
                        help="noise std for per-slice methods (DenoiseConfig.sigma); "
                        "estimated per slice when omitted")
-    p_den.add_argument("--average-mode", choices=["global", "pairwise"],
+    p_den.add_argument("--average-mode", choices=AVERAGE_MODES,
                        default=MethodDef.average_mode,
                        help="thickness averaging span for --method average")
     _add_dispersion_flag(p_den)

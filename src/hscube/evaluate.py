@@ -17,7 +17,7 @@ from functools import partial
 
 import numpy as np
 
-from .ccf import WindowSpec, _check_edge_width, ccf_denoise, ccf_sliding
+from .ccf import WindowSpec, ccf_denoise, ccf_sliding, sliding_plan
 from .cdbm3d import DenoiseConfig, Stages, Variant, _check_real, denoise_image, estimate_sigma
 from .cube import ComplexCube
 from .errors import (
@@ -62,6 +62,7 @@ CSV_COLUMNS = [
 ]
 
 METHOD_NAMES = ("ccf", "ccf-sliding", "cdbm3d-slice", "separate", "average", "noop")
+AVERAGE_MODES = ("global", "pairwise")
 
 
 # ---------------------------------------------------------------------------
@@ -127,8 +128,8 @@ def baseline_average(
     """
     if model is None:
         raise DispersionRequired("thickness averaging needs a dispersion model")
-    if mode not in ("global", "pairwise"):
-        raise InvalidConfig(f"mode: expected 'global' or 'pairwise', got {mode!r}")
+    if mode not in AVERAGE_MODES:
+        raise InvalidConfig(f"mode: expected one of {AVERAGE_MODES}, got {mode!r}")
     _require_bands(noisy)
     if mode == "pairwise" and noisy.n_bands == 1:
         return noisy
@@ -225,9 +226,9 @@ class MethodDef:
     def __post_init__(self):
         if self.name not in METHOD_NAMES:
             raise InvalidConfig(f"name: unknown method {self.name!r}")
-        if self.average_mode not in ("global", "pairwise"):
+        if self.average_mode not in AVERAGE_MODES:
             raise InvalidConfig(
-                f"average_mode: expected 'global' or 'pairwise', got {self.average_mode!r}"
+                f"average_mode: expected one of {AVERAGE_MODES}, got {self.average_mode!r}"
             )
         if not isinstance(self.label, str):
             raise InvalidConfig(f"label: expected a string, got {self.label!r}")
@@ -249,8 +250,6 @@ class Manifest:
     output_csv: str | None = None
 
 
-_TOP_KEYS = {"schema_version", "size", "lambda_nm", "dispersion", "objects", "sigmas", "seeds",
-             "methods", "output_csv"}
 _METHOD_KEYS = {"name", "config", "window", "step", "mode", "label"}
 
 
@@ -301,7 +300,7 @@ def parse_manifest(doc: dict) -> Manifest:
     """Validate a decoded manifest document; errors carry the field path."""
     if not isinstance(doc, dict):
         raise ManifestError(": manifest root must be an object")
-    _known_keys(doc, _TOP_KEYS, "")
+    _known_keys(doc, {f.name for f in fields(Manifest)} | {"schema_version"}, "")
     version = _need(doc, "schema_version", int, "")
     if version != 1:
         raise ManifestError(f"schema_version: unsupported version {version}")
@@ -312,7 +311,7 @@ def parse_manifest(doc: dict) -> Manifest:
     disp_raw = doc.get("dispersion", {})
     if not isinstance(disp_raw, dict):
         raise ManifestError("dispersion: expected an object")
-    _known_keys(disp_raw, {"a0", "b0_um2", "c0_um4"}, "dispersion.")
+    _known_keys(disp_raw, {f.name for f in fields(DispersionModel)}, "dispersion.")
     with _setting("dispersion: "):
         dispersion = DispersionModel(**disp_raw)
         refractive_index(dispersion, np.linspace(*lam, size[2]))  # the grid of ObjectDef.truth
@@ -324,7 +323,7 @@ def parse_manifest(doc: dict) -> Manifest:
             entry = {"kind": entry}
         if not isinstance(entry, dict):
             raise ManifestError(f"objects[{i}]: expected a string or object")
-        _known_keys(entry, {"kind", "name", "target_phase", "max_phase"}, path)
+        _known_keys(entry, {f.name for f in fields(ObjectDef)}, path)
         kind_name = _need(entry, "kind", str, path)
         try:
             kind = ObjectKind(kind_name)
@@ -355,7 +354,7 @@ def parse_manifest(doc: dict) -> Manifest:
                 step=entry.get("step", WindowSpec.step),
             )
             if name == "ccf-sliding":
-                _check_edge_width(size[2], window)
+                sliding_plan(size[2], window)
         with _setting(path):
             methods.append(MethodDef(name=name, config=cfg, window=window,
                                      average_mode=entry.get("mode", MethodDef.average_mode),

@@ -65,8 +65,9 @@ def _check_2d(z: np.ndarray) -> None:
 
 
 def _regress_bands(z: np.ndarray):
-    """Band correlation R_y = Z Z^H / n and the residual variance of each
-    band regressed on the others (see ``estimate_noise``)."""
+    """Band correlation R_y = Z Z^H / n, the residual variance of each band
+    regressed on the others (see ``estimate_noise``) and the ridge added to
+    the regression, ``RIDGE_SCALE`` times the mean band power."""
     _check_2d(z)
     l, n = z.shape
     if l < 3:
@@ -75,9 +76,9 @@ def _regress_bands(z: np.ndarray):
         raise TooFewPixels(f"need more pixels than bands, got {n} <= {l}")
 
     r_y = _hermitize(z @ z.conj().T / n)
-    if not np.any(z):  # no signal and no noise: nothing to regress
-        return r_y, np.zeros(l)
     ridge = RIDGE_SCALE * np.trace(r_y).real / l
+    if not np.any(z):  # no signal and no noise: nothing to regress
+        return r_y, np.zeros(l), ridge
 
     for factor in (1.0, 1e6):
         try:
@@ -93,7 +94,7 @@ def _regress_bands(z: np.ndarray):
     # bands to band i's residual, and that residual's variance is
     # (a R_y a^H)_ii.
     a = r_inv / np.diag(r_inv)[:, None]
-    return r_y, np.maximum(np.sum((a @ r_y) * a.conj(), axis=1).real, 0.0)
+    return r_y, np.maximum(np.sum((a @ r_y) * a.conj(), axis=1).real, 0.0), ridge
 
 
 def estimate_noise(z: np.ndarray) -> np.ndarray:
@@ -115,8 +116,7 @@ def identify_subspace(z: np.ndarray) -> EigenBasis:
     """Pick the eigen-subspace of the band correlation matrix that minimizes
     the reconstruction mean squared error under the estimated noise.  An
     all-zero matrix holds no signal, and its subspace is empty (p = 0)."""
-    r_y, noise_var = _regress_bands(z)
-    l = r_y.shape[0]
+    r_y, noise_var, ridge = _regress_bands(z)
 
     try:
         eigvals, vecs = np.linalg.eigh(r_y)
@@ -126,7 +126,6 @@ def identify_subspace(z: np.ndarray) -> EigenBasis:
     eigvals = eigvals[order]
     vecs = vecs[:, order]
 
-    ridge = RIDGE_SCALE * np.trace(r_y).real / l
     eig_noise = (np.abs(vecs) ** 2).T @ noise_var  # e_i^H diag(noise_var) e_i
     delta = 2.0 * (eig_noise + ridge) - eigvals
 

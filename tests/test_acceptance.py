@@ -66,6 +66,7 @@ def _mean(reports, **match):
     return picked[0].mean_rrmse_phase
 
 
+@pytest.mark.fast_acceptance
 class TestCriterion1Exactness:
     def test_exactness_suite(self, tmp_path):
         rng = np.random.default_rng(20260808)
@@ -123,6 +124,7 @@ class TestCriterion1Exactness:
         )
 
 
+@pytest.mark.fast_acceptance
 class TestCriterion2SubspaceOracle:
     def test_rank_recovery_100_trials(self):
         hits = 0
@@ -232,6 +234,7 @@ class TestStepStudy:
         _report(0, "step-size study", ok, detail)
 
 
+@pytest.mark.fast_acceptance
 class TestCriterion7WindowArithmetic:
     def test_17_invocations_on_200_bands(self):
         plan = sliding_plan(200, WindowSpec(width=70, step=12))
@@ -249,6 +252,7 @@ class TestCriterion7WindowArithmetic:
         _report(7, "window arithmetic", ok, f"plan={len(plan)} actual runs={len(diags)}")
 
 
+@pytest.mark.fast_acceptance
 class TestCriterion8Determinism:
     def _cli(self, *args):
         return subprocess.run(
@@ -300,6 +304,7 @@ class TestCriterion8Determinism:
         )
 
 
+@pytest.mark.fast_acceptance
 class TestExternalCubeProperty:
     """Stand-in for real acquisitions: an externally written CHSC cube must
     go through the sliding pipeline without NaNs, shape change, or an

@@ -110,8 +110,8 @@ class TestSlidingPlan:
                 assert run.center == min(covering, key=lambda c: (abs(b - c), c))
 
     def test_uncoverable_band_rejected(self):
-        with pytest.raises(ValueError):
-            sliding_plan(50, WindowSpec(width=3, step=10))
+        with pytest.raises(InvalidConfig, match="^step: band 3 "):
+            sliding_plan(50, WindowSpec(width=5, step=10))
 
     def test_edge_window_too_narrow_rejected(self):
         for width in (1, 2, 3, 4):

@@ -951,6 +951,26 @@ class TestEstimateSigma:
             estimate_sigma(img, other)
             assert estimate_sigma(img) == cold
 
+    def test_calibration_keyed_on_the_probe_geometry(self, monkeypatch):
+        img = random_field(np.random.default_rng(18), (24, 24))
+        monkeypatch.setattr(cdbm3d, "_SIGMA_CALIBRATION", {})
+        base = DenoiseConfig()
+        shared = [
+            replace(base, hard_threshold_factor=1.0),
+            replace(base, stages=Stages.THRESHOLD_ONLY),
+            replace(base, sigma=0.5),
+            replace(base, match_threshold=0.3),
+            replace(base, variant=Variant.COMPLEX_3D),
+            replace(base, max_group_size=16),  # the probe's groups hold at most 8
+        ]
+        plain = estimate_sigma(img, base)
+        assert [estimate_sigma(img, cfg) for cfg in shared] == [plain] * len(shared)
+        assert len(cdbm3d._SIGMA_CALIBRATION) == 1
+        for n, cfg in enumerate([replace(base, search_radius=5), replace(base, patch_rows=6),
+                                 replace(base, patch_cols=6)], start=2):
+            estimate_sigma(img, cfg)
+            assert len(cdbm3d._SIGMA_CALIBRATION) == n
+
     def test_calibration_filled_once_by_pool_workers(self, monkeypatch):
         rng = np.random.default_rng(15)
         images = [random_field(rng, (24, 24)) for _ in range(8)]

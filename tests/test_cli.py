@@ -12,7 +12,7 @@ from hscube import cli
 from hscube.ccf import WindowSpec
 from hscube.cdbm3d import DenoiseConfig
 from hscube.cube import read_cube, write_cube
-from hscube.evaluate import CSV_COLUMNS, METHOD_NAMES, ObjectDef, config_snapshot
+from hscube.evaluate import AVERAGE_MODES, CSV_COLUMNS, METHOD_NAMES, ObjectDef, config_snapshot
 from hscube.synth import ObjectKind
 
 
@@ -371,6 +371,12 @@ class TestDenoise:
                     parser.parse_args(argv)
             else:
                 assert parser.parse_args(argv).method == name
+        for mode in AVERAGE_MODES:
+            argv = ["denoise", "--method", "average", "--average-mode", mode, "in.chsc", "out.chsc"]
+            assert parser.parse_args(argv).average_mode == mode
+        with pytest.raises(SystemExit):
+            parser.parse_args(["denoise", "--method", "average", "--average-mode", "local",
+                               "in.chsc", "out.chsc"])
 
     def test_help_documents_config_fields(self):
         res = run_cli("denoise", "--help")
@@ -464,6 +470,8 @@ class TestSweep:
          "dispersion: refractive index must stay finite and above 1"),
         ({"objects": [{"kind": "two-peak", "name": 7}]}, "objects[0].name: "),
         ({"methods": [{"name": "noop", "label": 5}]}, "methods[0].label: "),
+        ({"size": [16, 16, 20], "methods": [{"name": "ccf-sliding", "window": 5, "step": 10}]},
+         "methods[0].window: step: band 3 is not covered"),
     ])
     def test_noise_and_object_settings_exit_2(self, tmp_path, override, where):
         manifest = tmp_path / "bad.manifest"

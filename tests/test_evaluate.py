@@ -287,6 +287,12 @@ class TestManifest:
             (method,) = parse_manifest(doc).methods
             assert method.window == WindowSpec(width, 2)
 
+    def test_sliding_plan_leaving_a_band_uncovered(self):
+        doc = small_manifest(size=[16, 16, 20],
+                             methods=[{"name": "ccf-sliding", "window": 5, "step": 10}])
+        with pytest.raises(ManifestError, match=r"^methods\[0\]\.window: step: "):
+            parse_manifest(doc)
+
     def test_defaults_come_from_the_dataclasses(self):
         m = parse_manifest(small_manifest(
             objects=[kind.value for kind in ObjectKind], methods=[{"name": "ccf-sliding"}]
