@@ -19,7 +19,15 @@ from functools import partial
 
 import numpy as np
 
-from .cdbm3d import DenoiseConfig, _check_int, _ldexp, _rescaled, _scale_exponent, denoise_image
+from .cdbm3d import (
+    DenoiseConfig,
+    _check_int,
+    _check_patch,
+    _ldexp,
+    _rescaled,
+    _scale_exponent,
+    denoise_image,
+)
 from .cube import ComplexCube, reshape_to_cube, reshape_to_matrix
 from .errors import InvalidConfig
 from .parallel import _single_threaded_blas, run_jobs
@@ -99,7 +107,10 @@ def ccf_denoise(
     A cube whose largest magnitude leaves [2^-400, 2^400) is filtered, with
     its ``match_threshold``, at the power-of-two scale that brings it to
     [1/2, 1), as in ``denoise_image``; its output and diagnostics are scaled back.
+    A cube whose images are smaller than a patch raises ``DimensionMismatch``
+    before the subspace is identified.
     """
+    _check_patch((cube.n_rows, cube.n_cols), cfg)
     shift = _scale_exponent(cube.data)
     z = reshape_to_matrix(cube)
     if shift:  # z is a view of the caller's samples
@@ -150,8 +161,10 @@ def ccf_sliding(
     window job writes the bands it owns straight into one band-major
     output, so the jobs hold no copy of the cube beyond their own window's
     result.  A window out of the safe magnitude band is rescaled by
-    ``ccf_denoise`` on its own.
+    ``ccf_denoise`` on its own.  The patch size is checked, as in
+    ``ccf_denoise``, before the plan and before any window runs.
     """
+    _check_patch((cube.n_rows, cube.n_cols), cfg)
     plan = sliding_plan(cube.n_bands, window)
     out = np.empty((cube.n_bands, cube.n_rows, cube.n_cols), dtype=np.complex128)
     infos = run_jobs([partial(_run_window, cube, cfg, run, out) for run in plan], threads)

@@ -258,11 +258,7 @@ def _nearest(dist: np.ndarray, keep: int):
     )
     fix = np.flatnonzero(left_out & (cut[:, 0] < np.inf))
     if fix.size:
-        sub, sub_cut = dist[fix], cut[fix]
-        chosen = sub < sub_cut
-        tied = sub == sub_cut
-        chosen |= tied & (np.cumsum(tied, axis=1) <= keep - chosen.sum(axis=1, keepdims=True))
-        idx[fix] = np.nonzero(chosen)[1].reshape(fix.size, keep)
+        idx[fix] = np.argsort(dist[fix], axis=1, kind="stable")[:, :keep]
     d = np.take_along_axis(dist, idx, axis=1)
     order = np.lexsort((idx, d), axis=1)
     return np.take_along_axis(idx, order, axis=1), np.take_along_axis(d, order, axis=1)
@@ -414,14 +410,17 @@ def _scatter(num, den, est, rows, cols, weights, width):
     np.add.at(den.reshape(-1), idx, np.broadcast_to(wv, est.shape).ravel())
 
 
+def _check_patch(shape: tuple[int, int], cfg: DenoiseConfig) -> None:
+    """An image of ``shape`` (rows, cols) must hold at least one patch."""
+    if shape[0] < cfg.patch_rows or shape[1] < cfg.patch_cols:
+        raise DimensionMismatch(f"patch {cfg.patch_rows}x{cfg.patch_cols} exceeds image {shape}")
+
+
 def _check_image(image: np.ndarray, cfg: DenoiseConfig) -> np.ndarray:
     image = np.asarray(image, dtype=np.complex128)
     if image.ndim != 2:
         raise DimensionMismatch(f"expected a 2D image, got shape {image.shape}")
-    if image.shape[0] < cfg.patch_rows or image.shape[1] < cfg.patch_cols:
-        raise DimensionMismatch(
-            f"patch {cfg.patch_rows}x{cfg.patch_cols} exceeds image {image.shape}"
-        )
+    _check_patch(image.shape, cfg)
     if not np.all(np.isfinite(image)):
         raise DimensionMismatch("image contains non-finite samples")
     return image

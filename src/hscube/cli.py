@@ -259,10 +259,6 @@ def cmd_denoise(args) -> int:
 def cmd_metrics(args) -> int:
     est = read_cube(args.estimate)
     truth = read_cube(args.truth)
-    if est.shape != truth.shape:
-        raise DimensionMismatch(
-            f"estimate shape {est.shape} does not match truth shape {truth.shape}"
-        )
     report = make_report(
         est,
         truth,
@@ -272,11 +268,9 @@ def cmd_metrics(args) -> int:
         sigma=None,
         seed=None,
     )
+    write_csv([report], args.out or sys.stdout)
     if args.out:
-        write_csv([report], args.out)
         print(f"wrote {args.out}")
-    else:
-        write_csv([report], sys.stdout)
     return 0
 
 
@@ -292,11 +286,9 @@ def cmd_sweep(args) -> int:
         manifest, threads=threads, measure_time=args.timings
     )
     target = args.out or manifest.output_csv
+    write_csv(reports, target or sys.stdout)
     if target:
-        write_csv(reports, target)
         print(f"wrote {target} ({len(reports)} combination(s))")
-    else:
-        write_csv(reports, sys.stdout)
     for label, message in failures:
         print(f"FAILED {label}: {message}", file=sys.stderr)
     return 1 if failures else 0

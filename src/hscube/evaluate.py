@@ -1,9 +1,12 @@
 """Accuracy metrics, baseline filters, and the experiment harness.
 
 The harness executes every (object, sigma, seed, method) combination named
-by a manifest, computes per-band phase and amplitude errors against the
-clean cube, and emits the results as CSV rows (one per band, plus a summary
-row per combination with band_index = -1).
+by a manifest through one path: ``apply_method`` dispatches the method,
+``make_report`` checks the cube shapes and scores each band's phase and
+amplitude against the clean cube, and ``write_csv`` writes one row per band
+plus a summary row per combination, built by the same row builder from
+band_index = -1, no wavelength, the mean errors and p = -1.  A combination
+that fails is reported by its label and does not stop the others.
 """
 
 from __future__ import annotations
@@ -11,6 +14,7 @@ from __future__ import annotations
 import contextlib
 import csv
 import io
+import itertools
 import time
 from dataclasses import asdict, dataclass, field, fields, replace
 from functools import partial
@@ -232,10 +236,7 @@ class MethodDef:
             )
         if not isinstance(self.label, str):
             raise InvalidConfig(f"label: expected a string, got {self.label!r}")
-
-    @property
-    def report_label(self) -> str:
-        return self.label or self.name
+        object.__setattr__(self, "label", self.label or self.name)
 
 
 @dataclass(frozen=True)
@@ -390,23 +391,20 @@ def apply_method(
     """Dispatch one method on a noisy cube; returns (estimate, diagnostics).
     A ``sigma`` that is not None replaces the method config's."""
     diagnostics: list = []
-    cfg = method.config
-    if sigma is not None:
-        cfg = replace(cfg, sigma=sigma)
+    cfg = method.config if sigma is None else replace(method.config, sigma=sigma)
     if method.name == "ccf":
-        return ccf_denoise(noisy, cfg, diagnostics=diagnostics, threads=threads), diagnostics
-    if method.name == "ccf-sliding":
+        est = ccf_denoise(noisy, cfg, diagnostics=diagnostics, threads=threads)
+    elif method.name == "ccf-sliding":
         est = ccf_sliding(noisy, cfg, method.window, diagnostics=diagnostics, threads=threads)
-        return est, diagnostics
-    if method.name == "cdbm3d-slice":
-        return per_slice_cdbm3d(noisy, cfg, threads=threads), diagnostics
-    if method.name == "separate":
-        return baseline_separate(noisy, cfg, threads=threads), diagnostics
-    if method.name == "average":
-        return baseline_average(noisy, model, method.average_mode), diagnostics
-    if method.name == "noop":
-        return noisy, diagnostics
-    raise ValueError(f"unknown method {method.name!r}")
+    elif method.name == "cdbm3d-slice":
+        est = per_slice_cdbm3d(noisy, cfg, threads=threads)
+    elif method.name == "separate":
+        est = baseline_separate(noisy, cfg, threads=threads)
+    elif method.name == "average":
+        est = baseline_average(noisy, model, method.average_mode)
+    else:  # "noop": MethodDef admits only METHOD_NAMES
+        est = noisy
+    return est, diagnostics
 
 
 @dataclass(eq=False)
@@ -450,6 +448,7 @@ def make_report(
     diagnostics: list | None = None,
     seconds: float = 0.0,
 ) -> MetricsReport:
+    _check_shapes(est, truth)
     bands = truth.n_bands
     p_per_band = np.full(bands, -1, dtype=np.int64)
     for info in diagnostics or []:
@@ -499,38 +498,37 @@ def run_experiment(manifest: Manifest, threads: int = 1, measure_time: bool = Fa
     failures: list[tuple[str, str]] = []
     for obj in manifest.objects:
         truth = _attempt(obj.truth, manifest.size, manifest.lambda_nm, manifest.dispersion)
-        for sigma in manifest.sigmas:
-            for seed in manifest.seeds:
-                inputs = _attempt(_noisy_input, truth, sigma, seed)
-                for method in manifest.methods:
-                    label = f"{obj.name}/sigma={sigma}/seed={seed}/{method.report_label}"
-                    try:
-                        if isinstance(inputs, Exception):
-                            raise inputs
-                        noisy, snr = inputs
-                        t0 = time.perf_counter()
-                        est, diags = apply_method(
-                            method, noisy, sigma, manifest.dispersion, threads=threads
+        for sigma, seed in itertools.product(manifest.sigmas, manifest.seeds):
+            inputs = _attempt(_noisy_input, truth, sigma, seed)
+            for method in manifest.methods:
+                try:
+                    if isinstance(inputs, Exception):
+                        raise inputs
+                    noisy, snr = inputs
+                    t0 = time.perf_counter()
+                    est, diags = apply_method(
+                        method, noisy, sigma, manifest.dispersion, threads=threads
+                    )
+                    dt = time.perf_counter() - t0 if measure_time else 0.0
+                    window = method.window if method.name == "ccf-sliding" else None
+                    reports.append(
+                        make_report(
+                            est,
+                            truth,
+                            snr,
+                            object_name=obj.name,
+                            method=method.label,
+                            sigma=sigma,
+                            seed=seed,
+                            window=window.width if window else None,
+                            step=window.step if window else None,
+                            diagnostics=diags,
+                            seconds=dt,
                         )
-                        dt = time.perf_counter() - t0 if measure_time else 0.0
-                        uses_window = method.name == "ccf-sliding"
-                        reports.append(
-                            make_report(
-                                est,
-                                truth,
-                                snr,
-                                object_name=obj.name,
-                                method=method.report_label,
-                                sigma=sigma,
-                                seed=seed,
-                                window=method.window.width if uses_window else None,
-                                step=method.window.step if uses_window else None,
-                                diagnostics=diags,
-                                seconds=dt,
-                            )
-                        )
-                    except Exception as exc:  # noqa: BLE001 - isolate combination failures
-                        failures.append((label, f"{type(exc).__name__}: {exc}"))
+                    )
+                except Exception as exc:  # noqa: BLE001 - isolate combination failures
+                    label = f"{obj.name}/sigma={sigma}/seed={seed}/{method.label}"
+                    failures.append((label, f"{type(exc).__name__}: {exc}"))
     return reports, failures
 
 
@@ -563,31 +561,12 @@ def write_csv(reports, target) -> None:
         for rep in reports:
             common = [rep.object_name, rep.method, _fmt(rep.sigma), _fmt(rep.seed)]
             tail = [_fmt(rep.window), _fmt(rep.step), _fmt(rep.seconds)]
-            for b in range(len(rep.wavelengths)):
-                writer.writerow(
-                    common
-                    + [
-                        b,
-                        _fmt(float(rep.wavelengths[b])),
-                        _fmt(float(rep.rrmse_phase_bands[b])),
-                        _fmt(float(rep.rrmse_amp_bands[b])),
-                        _fmt(rep.snr_input_db),
-                        int(rep.p_per_band[b]),
-                    ]
-                    + tail
-                )
-            writer.writerow(
-                common
-                + [
-                    -1,
-                    "",
-                    _fmt(rep.mean_rrmse_phase),
-                    _fmt(rep.mean_rrmse_amp),
-                    _fmt(rep.snr_input_db),
-                    -1,
-                ]
-                + tail
-            )
+            bands = zip(itertools.count(), rep.wavelengths, rep.rrmse_phase_bands,
+                        rep.rrmse_amp_bands, rep.p_per_band)
+            summary = (-1, None, rep.mean_rrmse_phase, rep.mean_rrmse_amp, -1)
+            for band, wavelength, phase, amp, p in [*bands, summary]:
+                writer.writerow(common + [band, _fmt(wavelength), _fmt(phase), _fmt(amp),
+                                          _fmt(rep.snr_input_db), int(p)] + tail)
     finally:
         if own:
             handle.close()

@@ -4,9 +4,10 @@ matrix Z, row b holding band b of a cube flattened (``reshape_to_matrix``).
 Everything follows from the band correlation matrix R_y = Z Z^H / n, as in
 HySime.  The noise in each band is the residual of a least-squares
 regression of that band on all the others.  With P = (R_y + ridge)^-1,
-block inversion makes row i of A = P / diag(P) exactly band i's residual
-operator, so the residual variances are diag(A R_y A^H) in closed form,
-with no per-band loop and no residual matrix.  The subspace is the set of
+block inversion makes column i of A = P / diag(P) (P is Hermitian, so its
+columns are its conjugated rows) exactly band i's residual operator, so the
+residual variances are diag(A^H R_y A) in closed form, with no per-band
+loop and no residual matrix.  The subspace is the set of
 eigenvectors e_i of R_y whose inclusion lowers the reconstruction mean
 squared error: keeping e_i costs twice the noise power
 sigma_i^2 = sum_l |e_il|^2 var_l it admits, dropping it costs the data power
@@ -89,12 +90,15 @@ def _regress_bands(z: np.ndarray):
     else:
         raise SingularRegression("band correlation matrix is singular even with ridge")
 
-    # By block inversion, -r_inv[i, j] / r_inv[i, i] (j != i) are the
-    # coefficients of band i regressed on band j, so row i of `a` maps the
-    # bands to band i's residual, and that residual's variance is
-    # (a R_y a^H)_ii.
-    a = r_inv / np.diag(r_inv)[:, None]
-    return r_y, np.maximum(np.sum((a @ r_y) * a.conj(), axis=1).real, 0.0), ridge
+    # By block inversion, -r_inv[j, i] / r_inv[i, i] (j != i) are the
+    # conjugated coefficients of band i regressed on band j, so column i of
+    # `a` maps the bands to band i's residual (a^H Z), and that residual's
+    # variance is (a^H R_y a)_ii.  The inverse is solved column by column, so
+    # each column is as accurate as one linear solve, while a row gathers a
+    # rounding error from every solve: at a condition number near 1e10 * L,
+    # rows missed a duplicated band's zero residual by 4e-10 of its power.
+    a = r_inv / np.diag(r_inv)
+    return r_y, np.maximum(np.sum(a.conj() * (r_y @ a), axis=0).real, 0.0), ridge
 
 
 def estimate_noise(z: np.ndarray) -> np.ndarray:

@@ -158,11 +158,12 @@ class TestCcfDenoise:
         "shape, error", [((16, 16, 1), TooFewBands), ((1, 1, 4), TooFewPixels)]
     )
     def test_too_small_huge_cube_fails_typed(self, shape, error):
-        # such a cube's spectral matrix is a view of its read-only samples
+        # such a cube's spectral matrix is a view of its read-only samples;
+        # a 1x1 patch fits every image, so the subspace's own rule fails
         data = np.full(shape, 1e200 + 1e200j)
         cube = hs.ComplexCube(wavelengths=np.linspace(400, 700, shape[2]), data=data)
         with pytest.raises(error):
-            ccf_denoise(cube, DenoiseConfig())
+            ccf_denoise(cube, DenoiseConfig(patch_rows=1, patch_cols=1))
 
     def test_huge_cube_fails_typed(self):
         # ccf_denoise rescales such a cube first; the subspace estimate alone

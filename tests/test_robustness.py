@@ -71,14 +71,14 @@ def expected_exit(shape, kind: str, method: str) -> int:
         return 2  # non-finite samples
     if method.startswith("average"):
         return 0
+    if min(rows, cols) < PATCH:
+        return 2  # an image smaller than a patch, checked before the subspace
     if method.startswith("ccf"):
         if bands < 3:
             return 1  # TooFewBands: the noise estimate needs 3
         if rows * cols <= bands:
             return 1  # TooFewPixels: every window here is the whole cube
-        if kind == "zero":
-            return 0  # no signal: no eigenimage is filtered (p = 0)
-    return 2 if min(rows, cols) < PATCH else 0  # an image smaller than a patch
+    return 0  # an all-zero cube too: ccf filters none of its eigenimages (p = 0)
 
 
 def run(argv, capsys):
